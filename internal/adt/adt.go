@@ -91,6 +91,17 @@ func (k Kind) IsSequence() bool {
 // IsAssociative reports whether the kind stores unique keys.
 func (k Kind) IsAssociative() bool { return k >= KindSet && k < NumKinds }
 
+// IsSorted reports whether the kind keeps its keys in sorted order, so that
+// EraseFront removes the minimum: every associative kind but the hash
+// tables, chained and flat, whose victim is the first occupied slot.
+func (k Kind) IsSorted() bool {
+	switch k {
+	case KindHashSet, KindHashMap, KindFlatHashSet, KindFlatHashMap:
+		return false
+	}
+	return k.IsAssociative()
+}
+
 // IsMapKind reports whether the kind carries a key+value payload.
 func (k Kind) IsMapKind() bool {
 	return k == KindMap || k == KindAVLMap || k == KindHashMap || k == KindBTreeMap ||
@@ -137,31 +148,45 @@ type Container interface {
 }
 
 // New constructs a container of the given kind bound to model, with the
-// given simulated element size in bytes.
-func New(kind Kind, model mem.Model, elemSize uint64) Container {
+// given simulated element size in bytes. It is the one place that states
+// the per-kind choices: which backend, how a vector reaches its front, and
+// which key a keyed backend gives up first.
+func New(kind Kind, model mem.Model, elemSize uint64) Drainer {
+	p := newProbe()
 	switch kind {
 	case KindVector:
-		return &vectorADT{kind: kind, v: vector.New[uint64](model, elemSize)}
+		v := vector.New[uint64](model, elemSize)
+		return &seqADT{probe: p, kind: kind, s: v, vec: v}
 	case KindList:
-		return &listADT{kind: kind, l: list.New[uint64](model, elemSize)}
+		l := list.New[uint64](model, elemSize)
+		return &seqADT{probe: p, kind: kind, s: l, pop: l}
 	case KindDeque:
-		return &dequeADT{kind: kind, d: deque.New[uint64](model, elemSize)}
+		d := deque.New[uint64](model, elemSize)
+		return &seqADT{probe: p, kind: kind, s: d, pop: d}
 	case KindSet, KindMap:
-		return &rbADT{kind: kind, t: rbtree.New[uint64, struct{}](model, elemSize)}
+		t := rbtree.New[uint64, struct{}](model, elemSize)
+		return &keyedADT{probe: p, kind: kind, b: newKeysOf(t), first: t.Min, drain: t.Min}
 	case KindAVLSet, KindAVLMap:
-		return &avlADT{kind: kind, t: avltree.New[uint64, struct{}](model, elemSize)}
+		t := avltree.New[uint64, struct{}](model, elemSize)
+		return &keyedADT{probe: p, kind: kind, b: newKeysOf(t), first: t.Min, drain: t.Min}
 	case KindHashSet, KindHashMap:
-		return &hashADT{kind: kind, t: hashtable.New[uint64, struct{}](model, elemSize, hashtable.HashUint64)}
+		t := hashtable.New[uint64, struct{}](model, elemSize, hashtable.HashUint64)
+		return &keyedADT{probe: p, kind: kind, b: newKeysOf(t), first: t.First, drain: t.First}
 	case KindSplaySet:
-		return &splayADT{kind: kind, t: splaytree.New[uint64, struct{}](model, elemSize)}
+		t := splaytree.New[uint64, struct{}](model, elemSize)
+		return &keyedADT{probe: p, kind: kind, b: newKeysOf(t), first: t.Min, drain: t.Min}
 	case KindBTreeSet, KindBTreeMap:
-		return &btreeADT{kind: kind, t: btree.New[uint64, struct{}](model, elemSize)}
+		t := btree.New[uint64, struct{}](model, elemSize)
+		return &keyedADT{probe: p, kind: kind, b: newKeysOf(t), first: t.Min, drain: t.Min}
 	case KindSortedVec:
-		return &sortedvecADT{kind: kind, s: sortedvec.New[uint64](model, elemSize)}
+		s := sortedvec.New[uint64](model, elemSize)
+		return &keyedADT{probe: p, kind: kind, b: s, first: s.Min, drain: s.Max} // max pops without shifting the array
 	case KindFlatBTreeSet, KindFlatBTreeMap:
-		return &flatbtreeADT{kind: kind, t: flatbtree.New(model, elemSize)}
+		t := flatbtree.New(model, elemSize)
+		return &keyedADT{probe: p, kind: kind, b: t, first: t.Min, drain: t.Max} // max leaves the rightmost leaf without a shift
 	case KindFlatHashSet, KindFlatHashMap:
-		return &flathashADT{kind: kind, t: flathash.New(model, elemSize)}
+		t := flathash.New(model, elemSize)
+		return &keyedADT{probe: p, kind: kind, b: t, first: t.First, drain: t.First}
 	default:
 		panic(fmt.Sprintf("adt: invalid kind %d", kind))
 	}
@@ -314,343 +339,169 @@ func Targets() []ModelTarget {
 	}
 }
 
-// --- vector ---
+// backend is what every container package provides.
+type backend interface {
+	Len() int
+	Clear()
+	Stats() *opstats.Stats
+}
 
-type vectorADT struct {
+// probe holds the callbacks an adapter passes to its backend's scans. They
+// are built once per container: a closure made per call would escape
+// through the backend interface and allocate on every Find, Erase and
+// Iterate.
+type probe struct {
+	key, sum uint64
+	eq       func(uint64) bool // x == key
+	add      func(uint64)      // sum += x
+}
+
+func newProbe() *probe {
+	p := &probe{}
+	p.eq = func(x uint64) bool { return x == p.key }
+	p.add = func(x uint64) { p.sum += x }
+	return p
+}
+
+// sequence is the backend shape vector, list and deque share.
+type sequence interface {
+	backend
+	PushBack(x uint64)
+	PopBack() (uint64, bool)
+	Insert(pos int, x uint64)
+	Erase(pos int) bool
+	Find(eq func(uint64) bool) int
+	FindErase(eq func(uint64) bool) bool
+	Iterate(n int, fn func(uint64)) int
+}
+
+// poppable is the constant-time front list and deque add to a sequence.
+type poppable interface {
+	PushFront(x uint64)
+	PopFront() (uint64, bool)
+}
+
+// seqADT adapts a sequence backend. List and deque pop their front through
+// pop; vector has no constant-time front, so New sets vec instead and the
+// front is reached by position.
+type seqADT struct {
+	*probe
 	kind Kind
-	v    *vector.Vector[uint64]
+	s    sequence
+	pop  poppable
+	vec  *vector.Vector[uint64]
 }
 
-func (a *vectorADT) Kind() Kind        { return a.kind }
-func (a *vectorADT) Insert(key uint64) { a.v.PushBack(key) }
-func (a *vectorADT) InsertAt(pos int, key uint64) {
-	a.v.Insert(pos, key)
-}
-func (a *vectorADT) PushFront(key uint64) { a.v.Insert(0, key) }
-func (a *vectorADT) Erase(key uint64) bool {
-	return a.v.FindErase(func(x uint64) bool { return x == key })
-}
-func (a *vectorADT) EraseFront() bool {
-	if a.v.Len() == 0 {
-		a.v.Stats().Observe(opstats.OpErase, 0) // interface call on empty container
-		return false
+func (a *seqADT) Kind() Kind                   { return a.kind }
+func (a *seqADT) Insert(key uint64)            { a.s.PushBack(key) }
+func (a *seqADT) InsertAt(pos int, key uint64) { a.s.Insert(pos, key) }
+func (a *seqADT) PushFront(key uint64) {
+	if a.vec != nil {
+		a.vec.Insert(0, key)
+		return
 	}
-	return a.v.Erase(0)
+	a.pop.PushFront(key)
 }
-func (a *vectorADT) Find(key uint64) bool {
-	return a.v.Find(func(x uint64) bool { return x == key }) >= 0
+func (a *seqADT) Erase(key uint64) bool {
+	a.key = key
+	return a.s.FindErase(a.eq)
 }
-func (a *vectorADT) Iterate(n int) uint64 {
-	var sum uint64
-	a.v.Iterate(n, func(x uint64) { sum += x })
-	return sum
-}
-func (a *vectorADT) Len() int              { return a.v.Len() }
-func (a *vectorADT) Clear()                { a.v.Clear() }
-func (a *vectorADT) Stats() *opstats.Stats { return a.v.Stats() }
-
-// --- list ---
-
-type listADT struct {
-	kind Kind
-	l    *list.List[uint64]
-}
-
-func (a *listADT) Kind() Kind                   { return a.kind }
-func (a *listADT) Insert(key uint64)            { a.l.PushBack(key) }
-func (a *listADT) InsertAt(pos int, key uint64) { a.l.Insert(pos, key) }
-func (a *listADT) PushFront(key uint64)         { a.l.PushFront(key) }
-func (a *listADT) Erase(key uint64) bool {
-	return a.l.FindErase(func(x uint64) bool { return x == key })
-}
-func (a *listADT) EraseFront() bool {
-	_, ok := a.l.PopFront()
+func (a *seqADT) EraseFront() bool {
+	if a.vec != nil {
+		if a.vec.Len() == 0 {
+			a.vec.Stats().Observe(opstats.OpErase, 0) // interface call on empty container
+			return false
+		}
+		return a.vec.Erase(0)
+	}
+	_, ok := a.pop.PopFront()
 	if !ok {
-		a.l.Stats().Observe(opstats.OpPopFront, 0) // interface call on empty container
+		a.s.Stats().Observe(opstats.OpPopFront, 0) // interface call on empty container
 	}
 	return ok
 }
-func (a *listADT) Find(key uint64) bool {
-	return a.l.Find(func(x uint64) bool { return x == key }) >= 0
+func (a *seqADT) Find(key uint64) bool {
+	a.key = key
+	return a.s.Find(a.eq) >= 0
 }
-func (a *listADT) Iterate(n int) uint64 {
-	var sum uint64
-	a.l.Iterate(n, func(x uint64) { sum += x })
-	return sum
+func (a *seqADT) Iterate(n int) uint64 {
+	a.sum = 0
+	a.s.Iterate(n, a.add)
+	return a.sum
 }
-func (a *listADT) Len() int              { return a.l.Len() }
-func (a *listADT) Clear()                { a.l.Clear() }
-func (a *listADT) Stats() *opstats.Stats { return a.l.Stats() }
+func (a *seqADT) Len() int              { return a.s.Len() }
+func (a *seqADT) Clear()                { a.s.Clear() }
+func (a *seqADT) Stats() *opstats.Stats { return a.s.Stats() }
 
-// --- deque ---
-
-type dequeADT struct {
-	kind Kind
-	d    *deque.Deque[uint64]
+// keyed is the backend shape of sorted_vec and the flat backends.
+type keyed interface {
+	backend
+	Insert(key uint64) bool
+	Erase(key uint64) bool
+	Contains(key uint64) bool
+	Iterate(n int, fn func(uint64)) int
 }
 
-func (a *dequeADT) Kind() Kind                   { return a.kind }
-func (a *dequeADT) Insert(key uint64)            { a.d.PushBack(key) }
-func (a *dequeADT) InsertAt(pos int, key uint64) { a.d.Insert(pos, key) }
-func (a *dequeADT) PushFront(key uint64)         { a.d.PushFront(key) }
-func (a *dequeADT) Erase(key uint64) bool {
-	return a.d.FindErase(func(x uint64) bool { return x == key })
+// pairs is the key+value shape of the tree and chained-hash packages,
+// instantiated with an empty value.
+type pairs interface {
+	backend
+	Insert(key uint64, val struct{}) bool
+	Erase(key uint64) bool
+	Contains(key uint64) bool
+	Iterate(n int, fn func(uint64, struct{})) int
 }
-func (a *dequeADT) EraseFront() bool {
-	_, ok := a.d.PopFront()
+
+// keysOf presents a pairs backend as keyed. Iterate forwards through a
+// callback built once, for the reason probe gives.
+type keysOf struct {
+	pairs
+	fn   func(uint64)
+	each func(uint64, struct{})
+}
+
+func newKeysOf(p pairs) *keysOf {
+	k := &keysOf{pairs: p}
+	k.each = func(key uint64, _ struct{}) { k.fn(key) }
+	return k
+}
+
+func (k *keysOf) Insert(key uint64) bool { return k.pairs.Insert(key, struct{}{}) }
+func (k *keysOf) Iterate(n int, fn func(uint64)) int {
+	k.fn = fn
+	return k.pairs.Iterate(n, k.each)
+}
+
+// keyedADT adapts an associative backend, which ignores positions.
+// EraseFront removes first: the minimum key, or a hash table's first
+// occupied slot (IsSorted tells which). A drain removes drain: the same
+// key, or the maximum where that leaves without a shift.
+type keyedADT struct {
+	*probe
+	kind         Kind
+	b            keyed
+	first, drain func() (uint64, bool)
+}
+
+func (a *keyedADT) Kind() Kind                 { return a.kind }
+func (a *keyedADT) Insert(key uint64)          { a.b.Insert(key) }
+func (a *keyedADT) InsertAt(_ int, key uint64) { a.b.Insert(key) }
+func (a *keyedADT) PushFront(key uint64)       { a.b.Insert(key) }
+func (a *keyedADT) Erase(key uint64) bool      { return a.b.Erase(key) }
+func (a *keyedADT) EraseFront() bool {
+	k, ok := a.first()
 	if !ok {
-		a.d.Stats().Observe(opstats.OpPopFront, 0) // interface call on empty container
-	}
-	return ok
-}
-func (a *dequeADT) Find(key uint64) bool {
-	return a.d.Find(func(x uint64) bool { return x == key }) >= 0
-}
-func (a *dequeADT) Iterate(n int) uint64 {
-	var sum uint64
-	a.d.Iterate(n, func(x uint64) { sum += x })
-	return sum
-}
-func (a *dequeADT) Len() int              { return a.d.Len() }
-func (a *dequeADT) Clear()                { a.d.Clear() }
-func (a *dequeADT) Stats() *opstats.Stats { return a.d.Stats() }
-
-// --- red-black tree ---
-
-type rbADT struct {
-	kind Kind
-	t    *rbtree.Tree[uint64, struct{}]
-}
-
-func (a *rbADT) Kind() Kind                 { return a.kind }
-func (a *rbADT) Insert(key uint64)          { a.t.Insert(key, struct{}{}) }
-func (a *rbADT) InsertAt(_ int, key uint64) { a.t.Insert(key, struct{}{}) }
-func (a *rbADT) PushFront(key uint64)       { a.t.Insert(key, struct{}{}) }
-func (a *rbADT) Erase(key uint64) bool      { return a.t.Erase(key) }
-func (a *rbADT) EraseFront() bool {
-	k, ok := a.t.Min()
-	if !ok {
-		a.t.Stats().Observe(opstats.OpErase, 0) // interface call on empty container
+		a.b.Stats().Observe(opstats.OpErase, 0) // interface call on empty container
 		return false
 	}
-	return a.t.Erase(k)
+	return a.b.Erase(k)
 }
-func (a *rbADT) Find(key uint64) bool { return a.t.Contains(key) }
-func (a *rbADT) Iterate(n int) uint64 {
-	var sum uint64
-	a.t.Iterate(n, func(k uint64, _ struct{}) { sum += k })
-	return sum
+func (a *keyedADT) Find(key uint64) bool { return a.b.Contains(key) }
+func (a *keyedADT) Iterate(n int) uint64 {
+	a.sum = 0
+	a.b.Iterate(n, a.add)
+	return a.sum
 }
-func (a *rbADT) Len() int              { return a.t.Len() }
-func (a *rbADT) Clear()                { a.t.Clear() }
-func (a *rbADT) Stats() *opstats.Stats { return a.t.Stats() }
-
-// --- AVL tree ---
-
-type avlADT struct {
-	kind Kind
-	t    *avltree.Tree[uint64, struct{}]
-}
-
-func (a *avlADT) Kind() Kind                 { return a.kind }
-func (a *avlADT) Insert(key uint64)          { a.t.Insert(key, struct{}{}) }
-func (a *avlADT) InsertAt(_ int, key uint64) { a.t.Insert(key, struct{}{}) }
-func (a *avlADT) PushFront(key uint64)       { a.t.Insert(key, struct{}{}) }
-func (a *avlADT) Erase(key uint64) bool      { return a.t.Erase(key) }
-func (a *avlADT) EraseFront() bool {
-	k, ok := a.t.Min()
-	if !ok {
-		a.t.Stats().Observe(opstats.OpErase, 0) // interface call on empty container
-		return false
-	}
-	return a.t.Erase(k)
-}
-func (a *avlADT) Find(key uint64) bool { return a.t.Contains(key) }
-func (a *avlADT) Iterate(n int) uint64 {
-	var sum uint64
-	a.t.Iterate(n, func(k uint64, _ struct{}) { sum += k })
-	return sum
-}
-func (a *avlADT) Len() int              { return a.t.Len() }
-func (a *avlADT) Clear()                { a.t.Clear() }
-func (a *avlADT) Stats() *opstats.Stats { return a.t.Stats() }
-
-// --- hash table ---
-
-type hashADT struct {
-	kind Kind
-	t    *hashtable.Table[uint64, struct{}]
-}
-
-func (a *hashADT) Kind() Kind                 { return a.kind }
-func (a *hashADT) Insert(key uint64)          { a.t.Insert(key, struct{}{}) }
-func (a *hashADT) InsertAt(_ int, key uint64) { a.t.Insert(key, struct{}{}) }
-func (a *hashADT) PushFront(key uint64)       { a.t.Insert(key, struct{}{}) }
-func (a *hashADT) Erase(key uint64) bool      { return a.t.Erase(key) }
-func (a *hashADT) EraseFront() bool {
-	first, ok := a.t.First()
-	if !ok {
-		a.t.Stats().Observe(opstats.OpErase, 0) // interface call on empty container
-		return false
-	}
-	return a.t.Erase(first)
-}
-func (a *hashADT) Find(key uint64) bool { return a.t.Contains(key) }
-func (a *hashADT) Iterate(n int) uint64 {
-	var sum uint64
-	a.t.Iterate(n, func(k uint64, _ struct{}) { sum += k })
-	return sum
-}
-func (a *hashADT) Len() int              { return a.t.Len() }
-func (a *hashADT) Clear()                { a.t.Clear() }
-func (a *hashADT) Stats() *opstats.Stats { return a.t.Stats() }
-
-// --- splay tree ---
-
-type splayADT struct {
-	kind Kind
-	t    *splaytree.Tree[uint64, struct{}]
-}
-
-func (a *splayADT) Kind() Kind                 { return a.kind }
-func (a *splayADT) Insert(key uint64)          { a.t.Insert(key, struct{}{}) }
-func (a *splayADT) InsertAt(_ int, key uint64) { a.t.Insert(key, struct{}{}) }
-func (a *splayADT) PushFront(key uint64)       { a.t.Insert(key, struct{}{}) }
-func (a *splayADT) Erase(key uint64) bool      { return a.t.Erase(key) }
-func (a *splayADT) EraseFront() bool {
-	first, ok := a.t.Min()
-	if !ok {
-		a.t.Stats().Observe(opstats.OpErase, 0) // interface call on empty container
-		return false
-	}
-	return a.t.Erase(first)
-}
-func (a *splayADT) Find(key uint64) bool { return a.t.Contains(key) }
-func (a *splayADT) Iterate(n int) uint64 {
-	var sum uint64
-	a.t.Iterate(n, func(k uint64, _ struct{}) { sum += k })
-	return sum
-}
-func (a *splayADT) Len() int              { return a.t.Len() }
-func (a *splayADT) Clear()                { a.t.Clear() }
-func (a *splayADT) Stats() *opstats.Stats { return a.t.Stats() }
-
-// --- B-tree ---
-
-type btreeADT struct {
-	kind Kind
-	t    *btree.Tree[uint64, struct{}]
-}
-
-func (a *btreeADT) Kind() Kind                 { return a.kind }
-func (a *btreeADT) Insert(key uint64)          { a.t.Insert(key, struct{}{}) }
-func (a *btreeADT) InsertAt(_ int, key uint64) { a.t.Insert(key, struct{}{}) }
-func (a *btreeADT) PushFront(key uint64)       { a.t.Insert(key, struct{}{}) }
-func (a *btreeADT) Erase(key uint64) bool      { return a.t.Erase(key) }
-func (a *btreeADT) EraseFront() bool {
-	k, ok := a.t.Min()
-	if !ok {
-		a.t.Stats().Observe(opstats.OpErase, 0) // interface call on empty container
-		return false
-	}
-	return a.t.Erase(k)
-}
-func (a *btreeADT) Find(key uint64) bool { return a.t.Contains(key) }
-func (a *btreeADT) Iterate(n int) uint64 {
-	var sum uint64
-	a.t.Iterate(n, func(k uint64, _ struct{}) { sum += k })
-	return sum
-}
-func (a *btreeADT) Len() int              { return a.t.Len() }
-func (a *btreeADT) Clear()                { a.t.Clear() }
-func (a *btreeADT) Stats() *opstats.Stats { return a.t.Stats() }
-
-// --- sorted vector ---
-
-type sortedvecADT struct {
-	kind Kind
-	s    *sortedvec.Set[uint64]
-}
-
-func (a *sortedvecADT) Kind() Kind                 { return a.kind }
-func (a *sortedvecADT) Insert(key uint64)          { a.s.Insert(key) }
-func (a *sortedvecADT) InsertAt(_ int, key uint64) { a.s.Insert(key) }
-func (a *sortedvecADT) PushFront(key uint64)       { a.s.Insert(key) }
-func (a *sortedvecADT) Erase(key uint64) bool      { return a.s.Erase(key) }
-func (a *sortedvecADT) EraseFront() bool {
-	k, ok := a.s.Min()
-	if !ok {
-		a.s.Stats().Observe(opstats.OpErase, 0) // interface call on empty container
-		return false
-	}
-	return a.s.Erase(k)
-}
-func (a *sortedvecADT) Find(key uint64) bool { return a.s.Contains(key) }
-func (a *sortedvecADT) Iterate(n int) uint64 {
-	var sum uint64
-	a.s.Iterate(n, func(k uint64) { sum += k })
-	return sum
-}
-func (a *sortedvecADT) Len() int              { return a.s.Len() }
-func (a *sortedvecADT) Clear()                { a.s.Clear() }
-func (a *sortedvecADT) Stats() *opstats.Stats { return a.s.Stats() }
-
-// --- flat B+-tree ---
-
-type flatbtreeADT struct {
-	kind Kind
-	t    *flatbtree.Tree
-}
-
-func (a *flatbtreeADT) Kind() Kind                 { return a.kind }
-func (a *flatbtreeADT) Insert(key uint64)          { a.t.Insert(key) }
-func (a *flatbtreeADT) InsertAt(_ int, key uint64) { a.t.Insert(key) }
-func (a *flatbtreeADT) PushFront(key uint64)       { a.t.Insert(key) }
-func (a *flatbtreeADT) Erase(key uint64) bool      { return a.t.Erase(key) }
-func (a *flatbtreeADT) EraseFront() bool {
-	k, ok := a.t.Min()
-	if !ok {
-		a.t.Stats().Observe(opstats.OpErase, 0) // interface call on empty container
-		return false
-	}
-	return a.t.Erase(k)
-}
-func (a *flatbtreeADT) Find(key uint64) bool { return a.t.Contains(key) }
-func (a *flatbtreeADT) Iterate(n int) uint64 {
-	var sum uint64
-	a.t.Iterate(n, func(k uint64) { sum += k })
-	return sum
-}
-func (a *flatbtreeADT) Len() int              { return a.t.Len() }
-func (a *flatbtreeADT) Clear()                { a.t.Clear() }
-func (a *flatbtreeADT) Stats() *opstats.Stats { return a.t.Stats() }
-
-// --- flat hash table ---
-
-type flathashADT struct {
-	kind Kind
-	t    *flathash.Table
-}
-
-func (a *flathashADT) Kind() Kind                 { return a.kind }
-func (a *flathashADT) Insert(key uint64)          { a.t.Insert(key) }
-func (a *flathashADT) InsertAt(_ int, key uint64) { a.t.Insert(key) }
-func (a *flathashADT) PushFront(key uint64)       { a.t.Insert(key) }
-func (a *flathashADT) Erase(key uint64) bool      { return a.t.Erase(key) }
-func (a *flathashADT) EraseFront() bool {
-	first, ok := a.t.First()
-	if !ok {
-		a.t.Stats().Observe(opstats.OpErase, 0) // interface call on empty container
-		return false
-	}
-	return a.t.Erase(first)
-}
-func (a *flathashADT) Find(key uint64) bool { return a.t.Contains(key) }
-func (a *flathashADT) Iterate(n int) uint64 {
-	var sum uint64
-	a.t.Iterate(n, func(k uint64) { sum += k })
-	return sum
-}
-func (a *flathashADT) Len() int              { return a.t.Len() }
-func (a *flathashADT) Clear()                { a.t.Clear() }
-func (a *flathashADT) Stats() *opstats.Stats { return a.t.Stats() }
+func (a *keyedADT) Len() int              { return a.b.Len() }
+func (a *keyedADT) Clear()                { a.b.Clear() }
+func (a *keyedADT) Stats() *opstats.Stats { return a.b.Stats() }

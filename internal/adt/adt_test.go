@@ -108,7 +108,10 @@ func TestSequenceOrderPreserved(t *testing.T) {
 }
 
 func TestAssociativeEraseFrontRemovesMin(t *testing.T) {
-	for _, k := range []Kind{KindSet, KindAVLSet, KindMap, KindAVLMap, KindBTreeSet, KindSortedVec, KindBTreeMap, KindFlatBTreeSet, KindFlatBTreeMap} {
+	for _, k := range allKinds() {
+		if !k.IsSorted() {
+			continue
+		}
 		c := New(k, nil, 8)
 		for _, x := range []uint64{50, 10, 30} {
 			c.Insert(x)
@@ -285,4 +288,25 @@ func TestInvalidKindPanics(t *testing.T) {
 		}
 	}()
 	New(NumKinds, nil, 8)
+}
+
+// TestScansDoNotAllocate: Find, Erase and Iterate hand the backend a
+// callback; the adapters must not allocate one per call, or every profiled
+// operation would.
+func TestScansDoNotAllocate(t *testing.T) {
+	for _, k := range allKinds() {
+		c := New(k, machine.New(machine.Core2()), 8)
+		for i := uint64(0); i < 256; i++ {
+			c.Insert(i)
+		}
+		key := uint64(0)
+		if n := testing.AllocsPerRun(200, func() {
+			c.Find(key)
+			c.Erase(key + 1000)
+			c.Iterate(8)
+			key++
+		}); n != 0 {
+			t.Errorf("%v: Find+Erase+Iterate allocated %v times per run", k, n)
+		}
+	}
 }

@@ -17,25 +17,28 @@ func TestEveryContainerPackageReachable(t *testing.T) {
 	}
 
 	// Collect the package path of every backend an adapter can reach by
-	// walking the concrete types New returns for each kind.
+	// following the dynamic values New returns for each kind, through the
+	// adapters' interface fields down to the first container type.
 	reached := map[string]bool{}
+	adtPkg := reflect.TypeOf(Kind(0)).PkgPath()
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for v.Kind() == reflect.Ptr || v.Kind() == reflect.Interface {
+			if v.IsNil() {
+				return
+			}
+			v = v.Elem()
+		}
+		if pkg := v.Type().PkgPath(); strings.Contains(pkg, "/containers/") {
+			reached[pkg[strings.LastIndex(pkg, "/")+1:]] = true
+		} else if pkg == adtPkg && v.Kind() == reflect.Struct {
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		}
+	}
 	for _, k := range allKinds() {
-		rt := reflect.TypeOf(New(k, nil, 8))
-		for rt.Kind() == reflect.Ptr {
-			rt = rt.Elem()
-		}
-		if rt.Kind() != reflect.Struct {
-			continue
-		}
-		for i := 0; i < rt.NumField(); i++ {
-			ft := rt.Field(i).Type
-			for ft.Kind() == reflect.Ptr {
-				ft = ft.Elem()
-			}
-			if pkg := ft.PkgPath(); strings.Contains(pkg, "/containers/") {
-				reached[pkg[strings.LastIndex(pkg, "/")+1:]] = true
-			}
-		}
+		walk(reflect.ValueOf(New(k, nil, 8)))
 	}
 
 	entries, err := os.ReadDir("../containers")

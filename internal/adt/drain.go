@@ -1,107 +1,42 @@
 package adt
 
-// Drainer is the optional migration primitive: remove one element and hand
-// its key back, so an adaptive host can move contents between two live
-// backends without enumerating through the Container interface (Iterate
-// only exposes checksums). DrainFront and DrainBack take the corresponding
-// end of a sequence — the caller picks the end that keeps the move O(1) on
-// its pair of backends. Associative backends have no meaningful ends for a
-// keyed destination, so both methods take the cheapest victim: the minimum
-// for trees, the maximum for the sorted vector (no shift), an arbitrary
-// element for hash tables.
+// Drainer is a Container that can also remove one element and hand its key
+// back, so an adaptive host can move contents between two live backends
+// without enumerating through the Container interface (Iterate only exposes
+// checksums). Every container New returns is a Drainer.
 //
-// Every built-in backend implements Drainer. Like any other interface call,
-// draining records operations in the backend's Stats — migration traffic is
-// real container work and is attributed as such.
+// DrainFront and DrainBack take the corresponding end of a sequence — the
+// caller picks the end that keeps the move O(1) on its pair of backends.
+// Associative backends have no meaningful ends for a keyed destination, so
+// both methods take the cheapest victim: the minimum for trees, the maximum
+// for the sorted vector and the flat B+-tree (no shift), an arbitrary
+// element for hash tables. Like any other interface call, draining records
+// operations in the backend's Stats — migration traffic is real container
+// work and is attributed as such.
 type Drainer interface {
+	Container
 	DrainFront() (uint64, bool)
 	DrainBack() (uint64, bool)
 }
 
-func (a *vectorADT) DrainFront() (uint64, bool) {
-	if a.v.Len() == 0 {
+func (a *seqADT) DrainFront() (uint64, bool) {
+	if a.vec == nil {
+		return a.pop.PopFront()
+	}
+	if a.vec.Len() == 0 {
 		return 0, false
 	}
-	k := a.v.At(0)
-	a.v.Erase(0)
+	k := a.vec.At(0)
+	a.vec.Erase(0)
 	return k, true
 }
-func (a *vectorADT) DrainBack() (uint64, bool) { return a.v.PopBack() }
+func (a *seqADT) DrainBack() (uint64, bool) { return a.s.PopBack() }
 
-func (a *listADT) DrainFront() (uint64, bool) { return a.l.PopFront() }
-func (a *listADT) DrainBack() (uint64, bool)  { return a.l.PopBack() }
-
-func (a *dequeADT) DrainFront() (uint64, bool) { return a.d.PopFront() }
-func (a *dequeADT) DrainBack() (uint64, bool)  { return a.d.PopBack() }
-
-func (a *rbADT) DrainFront() (uint64, bool) {
-	k, ok := a.t.Min()
+func (a *keyedADT) DrainFront() (uint64, bool) {
+	k, ok := a.drain()
 	if ok {
-		a.t.Erase(k)
+		a.b.Erase(k)
 	}
 	return k, ok
 }
-func (a *rbADT) DrainBack() (uint64, bool) { return a.DrainFront() }
-
-func (a *avlADT) DrainFront() (uint64, bool) {
-	k, ok := a.t.Min()
-	if ok {
-		a.t.Erase(k)
-	}
-	return k, ok
-}
-func (a *avlADT) DrainBack() (uint64, bool) { return a.DrainFront() }
-
-func (a *hashADT) DrainFront() (uint64, bool) {
-	k, ok := a.t.First()
-	if ok {
-		a.t.Erase(k)
-	}
-	return k, ok
-}
-func (a *hashADT) DrainBack() (uint64, bool) { return a.DrainFront() }
-
-func (a *splayADT) DrainFront() (uint64, bool) {
-	k, ok := a.t.Min()
-	if ok {
-		a.t.Erase(k)
-	}
-	return k, ok
-}
-func (a *splayADT) DrainBack() (uint64, bool) { return a.DrainFront() }
-
-func (a *btreeADT) DrainFront() (uint64, bool) {
-	k, ok := a.t.Min()
-	if ok {
-		a.t.Erase(k)
-	}
-	return k, ok
-}
-func (a *btreeADT) DrainBack() (uint64, bool) { return a.DrainFront() }
-
-func (a *sortedvecADT) DrainFront() (uint64, bool) {
-	k, ok := a.s.Max() // max pops without shifting the array
-	if ok {
-		a.s.Erase(k)
-	}
-	return k, ok
-}
-func (a *sortedvecADT) DrainBack() (uint64, bool) { return a.DrainFront() }
-
-func (a *flatbtreeADT) DrainFront() (uint64, bool) {
-	k, ok := a.t.Max() // max deletes from the rightmost leaf without a shift
-	if ok {
-		a.t.Erase(k)
-	}
-	return k, ok
-}
-func (a *flatbtreeADT) DrainBack() (uint64, bool) { return a.DrainFront() }
-
-func (a *flathashADT) DrainFront() (uint64, bool) {
-	k, ok := a.t.First()
-	if ok {
-		a.t.Erase(k)
-	}
-	return k, ok
-}
-func (a *flathashADT) DrainBack() (uint64, bool) { return a.DrainFront() }
+func (a *keyedADT) DrainBack() (uint64, bool) { return a.DrainFront() }

@@ -25,7 +25,6 @@ const kindsGolden = "testdata/kinds.golden"
 func kindDigest(k Kind) (digest string, emptyFronts, emptyDrains int) {
 	m := machine.New(machine.Core2())
 	c := New(k, m, 24)
-	d := c.(Drainer)
 	rng := rand.New(rand.NewSource(20111))
 	h := sha256.New()
 	for step := 0; step < 3000; step++ {
@@ -57,13 +56,13 @@ func kindDigest(k Kind) (digest string, emptyFronts, emptyDrains int) {
 		case op < 80:
 			ret = fmt.Sprint(c.Kind())
 		case op < 90:
-			x, ok := d.DrainFront()
+			x, ok := c.DrainFront()
 			ret = fmt.Sprint(x, ok)
 			if empty {
 				emptyDrains++
 			}
 		default:
-			x, ok := d.DrainBack()
+			x, ok := c.DrainBack()
 			ret = fmt.Sprint(x, ok)
 			if empty {
 				emptyDrains++

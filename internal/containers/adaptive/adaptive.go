@@ -176,13 +176,9 @@ func (a *Container) onDrift(ev drift.Event) {
 	case a.ops-a.lastMigEnd < a.cfg.CooldownOps && len(a.migrations) > 0:
 		a.ignoredCooldown++
 		a.journal("cooldown", from, &ev, 0)
-	case !adt.CanReplace(from, ev.To, a.cfg.OrderAware) || !a.mig.canMigrate():
+	case !adt.CanReplace(from, ev.To, a.cfg.OrderAware):
 		a.ignoredIllegal++
-		verdict := adt.ReplaceVerdict(from, ev.To, a.cfg.OrderAware)
-		if verdict == adt.ReplaceOK {
-			verdict = "source-undrainable" // legal row, but the backend cannot hand over
-		}
-		a.journal(verdict, from, &ev, 0)
+		a.journal(adt.ReplaceVerdict(from, ev.To, a.cfg.OrderAware), from, &ev, 0)
 	default:
 		a.mig.begin(ev.To)
 		a.migrations = append(a.migrations, Migration{

@@ -37,8 +37,8 @@ type migrator struct {
 	model    mem.Model
 	elemSize uint64
 
-	cur adt.Container // active backend; the source while migrating
-	dst adt.Container // nil when no migration is in flight
+	cur adt.Drainer // active backend; the source while migrating
+	dst adt.Drainer // nil when no migration is in flight
 	lay layout
 
 	batch  int  // elements moved per interface operation
@@ -52,14 +52,6 @@ type migrator struct {
 func (g *migrator) Kind() adt.Kind { return g.cur.Kind() }
 
 func (g *migrator) migrating() bool { return g.dst != nil }
-
-// canMigrate reports whether the active backend can hand its elements over.
-// Every built-in backend implements adt.Drainer; a custom backend that does
-// not simply never migrates away.
-func (g *migrator) canMigrate() bool {
-	_, ok := g.cur.(adt.Drainer)
-	return ok
-}
 
 // begin opens a migration to kind. The caller has already checked
 // legality (adt.CanReplace) and that no migration is in flight.
@@ -85,21 +77,20 @@ func (g *migrator) step() {
 	if g.dst == nil || g.done {
 		return
 	}
-	d := g.cur.(adt.Drainer)
 	for i := 0; i < g.batch; i++ {
 		var k uint64
 		var ok bool
 		switch g.lay {
 		case layoutPrefix:
-			if k, ok = d.DrainFront(); ok {
+			if k, ok = g.cur.DrainFront(); ok {
 				g.dst.Insert(k)
 			}
 		case layoutSuffix:
-			if k, ok = d.DrainBack(); ok {
+			if k, ok = g.cur.DrainBack(); ok {
 				g.dst.PushFront(k)
 			}
 		default:
-			if k, ok = d.DrainBack(); ok {
+			if k, ok = g.cur.DrainBack(); ok {
 				g.dst.Insert(k)
 			}
 		}
@@ -122,14 +113,6 @@ func (g *migrator) finalize() int {
 	g.dst = nil
 	g.done = false
 	return g.moved
-}
-
-// isSortedKind reports kinds whose EraseFront removes the minimum — the
-// associative kinds minus the hash tables (chained and flat), whose victim
-// is implementation-defined.
-func isSortedKind(k adt.Kind) bool {
-	return k.IsAssociative() && k != adt.KindHashSet && k != adt.KindHashMap &&
-		k != adt.KindFlatHashSet && k != adt.KindFlatHashMap
 }
 
 func (g *migrator) Insert(key uint64) {
@@ -238,7 +221,7 @@ func (g *migrator) EraseFront() bool {
 // (Iterate(1) reads each side's minimum), otherwise the destination's own
 // victim — hash tables make EraseFront implementation-defined anyway.
 func (g *migrator) eraseFrontKeyed() bool {
-	if isSortedKind(g.cur.Kind()) && isSortedKind(g.dst.Kind()) && g.cur.Len() > 0 && g.dst.Len() > 0 {
+	if g.cur.Kind().IsSorted() && g.dst.Kind().IsSorted() && g.cur.Len() > 0 && g.dst.Len() > 0 {
 		cm, dm := g.cur.Iterate(1), g.dst.Iterate(1)
 		if cm <= dm {
 			return g.cur.Erase(cm)
