@@ -76,7 +76,6 @@ func run() error {
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request deadline")
 		maxBody     = flag.Int64("max-body", 32<<20, "advise body size limit in bytes")
 		maxProfiles = flag.Int("max-profiles", 10000, "advise trace record limit")
-		concurrency = flag.Int("concurrency", 8, "deprecated and ignored: evaluation runs on one batching goroutine per shard (see -shards)")
 		shards      = flag.Int("shards", 0, "advisor shards owning cache/timeline/drift state and one batch queue each (0 = GOMAXPROCS)")
 		batch       = flag.Int("batch", 32, "max queued inferences coalesced into one ANN matrix pass per shard")
 		batchLinger = flag.Duration("batch-linger", 500*time.Microsecond, "how long a lone queued inference waits for batch-mates (negative = flush immediately)")
@@ -155,7 +154,6 @@ func run() error {
 		MaxBodyBytes:    *maxBody,
 		MaxProfiles:     *maxProfiles,
 		RequestTimeout:  *timeout,
-		MaxConcurrent:   *concurrency,
 		Shards:          *shards,
 		BatchSize:       *batch,
 		BatchLinger:     *batchLinger,

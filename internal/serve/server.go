@@ -51,10 +51,6 @@ type Config struct {
 	// RequestTimeout bounds one advise request end to end; on expiry the
 	// client gets 408 (default 30s).
 	RequestTimeout time.Duration
-	// MaxConcurrent is deprecated and ignored: evaluation concurrency is
-	// now one batching goroutine per shard (see Shards), not a global
-	// semaphore.
-	MaxConcurrent int
 	// Shards is how many ways the hot state (inference cache, timelines,
 	// drift detectors, batch queues) is split. Each shard is owned by one
 	// goroutine-backed batcher, so shards never contend with each other.

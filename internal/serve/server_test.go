@@ -355,7 +355,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 func TestConcurrentAdvise(t *testing.T) {
 	// Hammer the server from several goroutines; run under -race in CI.
-	s := New(testModels(), quietConfig(Config{MaxConcurrent: 2}))
+	s := New(testModels(), quietConfig(Config{}))
 	url, _ := startServer(t, s)
 	const workers, perWorker = 6, 5
 	errs := make(chan error, workers)
