@@ -310,6 +310,15 @@ func (d *Detector) Status(key string) (Status, bool) {
 	return st.status(key), true
 }
 
+// Forget drops the state kept for one instance, so a caller that bounds
+// its set of live instances (the serving tier's timeline LRU) bounds the
+// detector too. Events already raised for the instance stay in Events.
+func (d *Detector) Forget(key string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	delete(d.inst, key)
+}
+
 func (st *instState) status(key string) Status {
 	return Status{
 		InstanceKey: key,

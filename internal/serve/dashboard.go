@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/drift"
 	"repro/internal/opstats"
 	"repro/internal/profile"
 	"repro/internal/telemetry/tsdb"
@@ -104,12 +103,6 @@ func (s *Server) handleDebugBrainy(w http.ResponseWriter, r *http.Request) {
 // lives on exactly one shard), and the per-ingest touch stamp restores the
 // global most-recently-active order the single-store server rendered.
 func (s *Server) dashboard() DashboardResponse {
-	statuses := map[string]drift.Status{}
-	for _, sh := range s.shards {
-		for _, st := range sh.drifts.Statuses() {
-			statuses[st.InstanceKey] = st
-		}
-	}
 	resp := DashboardResponse{
 		SchemaVersion: 2,
 		MaxInstances:  s.cfg.MaxInstances,
@@ -136,7 +129,7 @@ func (s *Server) dashboard() DashboardResponse {
 			Touch:      tl.Touch,
 			Timeline:   []DashboardWindow{},
 		}
-		if st, ok := statuses[tl.Key]; ok && st.Advised {
+		if st, ok := s.shardForInstance(tl.Key).drifts.Status(tl.Key); ok && st.Advised {
 			row.Advised = true
 			row.Initial = st.Initial.String()
 			row.Current = st.Current.String()

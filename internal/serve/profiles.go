@@ -64,6 +64,7 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		}
 		if out.evicted {
 			s.metrics.TimelineEvictions.Inc()
+			sh.drifts.Forget(out.evictedKey)
 		}
 		resp.Accepted++
 		s.metrics.ProfileWindows.Inc()

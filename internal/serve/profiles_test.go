@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -217,6 +218,23 @@ func TestTimelineLRUBound(t *testing.T) {
 	}
 	if keys["many/instances#0"] || !keys["many/instances#1"] || !keys["many/instances#2"] {
 		t.Fatalf("LRU kept the wrong timelines: %v", keys)
+	}
+}
+
+// TestDriftStateBoundedByTimelineLRU: evicting a timeline also drops its
+// instance's drift state, so the detector stays inside the LRU bound
+// instead of growing with every instance key ever ingested.
+func TestDriftStateBoundedByTimelineLRU(t *testing.T) {
+	s := rulesServer(Config{MaxInstances: 4, TimelineWindows: 4, Shards: 1})
+	url, _ := startServer(t, s)
+	for i := 0; i < 10; i++ {
+		w := fmt.Sprintf(`{"context":"many/instances","kind":0,"instance":%d,"window_seq":0,"window_start_op":0,"window_end_op":8,"stats":{"count":[0,0,0,0,8,0,0,0,0,0]}}`+"\n", i)
+		if resp, _ := postProfiles(t, url, []byte(w)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("instance %d: status = %d", i, resp.StatusCode)
+		}
+	}
+	if got := len(s.shards[0].drifts.Statuses()); got > 4 {
+		t.Fatalf("drift detector holds %d instances, timeline bound is 4", got)
 	}
 }
 

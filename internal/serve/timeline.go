@@ -66,6 +66,7 @@ type addOutcome struct {
 	kindChanged bool     // the instance's backend changed mid-timeline
 	prevKind    adt.Kind // valid when kindChanged
 	evicted     bool     // a timeline was evicted to make room
+	evictedKey  string   // valid when evicted
 	evictedKind adt.Kind // valid when evicted
 }
 
@@ -97,6 +98,7 @@ func (s *timelineStore) add(w *profile.WindowRecord, touch uint64) addOutcome {
 			delete(s.items, victim.key)
 			s.evictions++
 			out.evicted = true
+			out.evictedKey = victim.key
 			out.evictedKind = victim.kind
 		}
 	} else {
