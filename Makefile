@@ -5,7 +5,7 @@ GO ?= go
 MODELS ?= models.json
 ADDR ?= :8377
 
-.PHONY: all build test lint race smoke serve train loadtest bench-serve bench-containers clean
+.PHONY: all build test lint race fuzz smoke serve train loadtest bench-serve bench-containers clean
 
 all: build lint test
 
@@ -21,11 +21,14 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; fi
 
+# Race detector over the concurrent subsystems: the HTTP advisor, the
+# training worker pools, the simulated machine and its allocator,
+# telemetry, the adaptive container, and the load generator.
 race:
-	$(GO) test -race -short ./internal/serve/... ./internal/training/... ./internal/machine/...
+	$(GO) test -race -short ./internal/serve/... ./internal/training/... ./internal/machine/... ./internal/mem/... ./internal/telemetry/... ./internal/containers/adaptive/... ./internal/loadgen/...
 
-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+# A 10-second probe per fuzz target.
+fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDequeOps -fuzztime=10s ./internal/containers/deque
 	$(GO) test -run='^$$' -fuzz=FuzzTableOps -fuzztime=10s ./internal/containers/hashtable
 	$(GO) test -run='^$$' -fuzz=FuzzTreeOps  -fuzztime=10s ./internal/containers/rbtree
@@ -33,6 +36,11 @@ smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAdaptiveMigration -fuzztime=10s ./internal/containers/adaptive
 	$(GO) test -run='^$$' -fuzz=FuzzFlatBTree -fuzztime=10s ./internal/containers/flatbtree
 	$(GO) test -run='^$$' -fuzz=FuzzFlatHash -fuzztime=10s ./internal/containers/flathash
+
+# Every benchmark once, then the fuzz probes.
+smoke:
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+	$(MAKE) fuzz
 
 # Train a registry (override budget via brainy-train flags) then serve it.
 train:
