@@ -73,12 +73,6 @@ func (s *Server) shardForInstance(key string) *advisorShard {
 	return s.shards[shard.Pick(len(s.shards), key)]
 }
 
-// runBatch is a shard's evaluation pass: it runs on the shard's single
-// batching goroutine, so everything here is serialized per shard by
-// construction. Identical inferences inside the batch (a zipf-hot key
-// missing the cache from many concurrent requests at once) are deduplicated
-// and evaluated once; distinct inferences sharing a model go through the
-// net as one ProbabilitiesBatch matrix pass via core.SuggestBatch.
 // recordAdvise journals one advise verdict into the shard's flight ring.
 // A nil err is verdict "ok"; otherwise "no-model" (the only way Suggest
 // fails). With recording disabled (nil ring) this is one branch and no
@@ -156,6 +150,12 @@ func (s *Server) driftStateFor(context string) string {
 	return st.Initial.String() + "->" + st.Current.String()
 }
 
+// runBatch is a shard's evaluation pass: it runs on the shard's single
+// batching goroutine, so everything here is serialized per shard by
+// construction. Identical inferences inside the batch (a zipf-hot key
+// missing the cache from many concurrent requests at once) are deduplicated
+// and evaluated once; distinct inferences sharing a model go through the
+// net as one ProbabilitiesBatch matrix pass via core.SuggestBatch.
 func (sh *advisorShard) runBatch(items []*inferSlot) {
 	// One batch ID per evaluation pass: every decision journaled below
 	// carries it, so /debug/decisions can reassemble which requests were
