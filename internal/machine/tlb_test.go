@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/mem"
@@ -158,5 +159,72 @@ func TestTLBMemoDoesNotChangeEviction(t *testing.T) {
 	// Page 1 was refreshed neither time; pages 2,3 must still be resident.
 	if !tlb.Touch(pageAddr(2)) || !tlb.Touch(pageAddr(3)) {
 		t.Fatal("resident pages lost despite LRU order")
+	}
+}
+
+// scanTLB is the fully associative TLB as a timestamp scan: every entry
+// carries the clock of its last use, a miss fills the last invalid entry or
+// else evicts the smallest stamp. It is the oracle the TLB must match.
+type scanTLB struct {
+	entries []scanEntry
+	clock   uint64
+}
+
+type scanEntry struct {
+	page  uint64
+	valid bool
+	lru   uint64
+}
+
+func (t *scanTLB) touch(page uint64) bool {
+	t.clock++
+	victim := 0
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.valid && e.page == page {
+			e.lru = t.clock
+			return true
+		}
+		if !e.valid {
+			victim = i
+		} else if t.entries[victim].valid && e.lru < t.entries[victim].lru {
+			victim = i
+		}
+	}
+	t.entries[victim] = scanEntry{page: page, valid: true, lru: t.clock}
+	return false
+}
+
+func (t *scanTLB) reset() {
+	clear(t.entries)
+	t.clock = 0
+}
+
+// TestTLBMatchesScanOracle compares the TLB with the timestamp scan, access
+// by access, over streams that mix same-page runs, a hot set that fits and
+// a cold set that does not, with occasional resets.
+func TestTLBMatchesScanOracle(t *testing.T) {
+	for _, n := range []int{1, 2, 4, 64, 256} {
+		tlb := NewTLB(n, 4096)
+		oracle := &scanTLB{entries: make([]scanEntry, n)}
+		rng := rand.New(rand.NewSource(int64(n)))
+		page := uint64(0)
+		for i := 0; i < 200_000; i++ {
+			switch r := rng.Intn(100); {
+			case r < 30: // stay on the page
+			case r < 70:
+				page = uint64(rng.Intn(n + n/2 + 1))
+			case r < 99:
+				page = uint64(rng.Intn(4*n + 8))
+			default:
+				tlb.Reset()
+				oracle.reset()
+				continue
+			}
+			addr := mem.Addr(page<<12 | uint64(rng.Intn(4096)))
+			if got, want := tlb.Touch(addr), oracle.touch(page); got != want {
+				t.Fatalf("%d entries, access %d (page %d): hit=%v, oracle hit=%v", n, i, page, got, want)
+			}
+		}
 	}
 }
