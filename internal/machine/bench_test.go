@@ -128,7 +128,7 @@ func BenchmarkCacheTouchMRU(b *testing.B) {
 }
 
 // BenchmarkTLBTouchSamePage hammers one page, the case the last-page memo
-// short-circuits ahead of the fully associative scan.
+// short-circuits ahead of the page index.
 func BenchmarkTLBTouchSamePage(b *testing.B) {
 	t := NewTLB(256, 4096)
 	t.Touch(0x1000)
