@@ -327,10 +327,11 @@ func BenchmarkWorkloadChordMedium(b *testing.B) {
 }
 
 // BenchmarkPhase1WallClock measures end-to-end Phase-I labeling throughput:
-// generate apps, run every candidate on a fresh simulated machine, select
-// decisive winners — the loop that dominates training wall-clock and that
-// the simulator fast path (internal/machine) exists to accelerate. The
-// seeds/s metric is the number of candidate-sweep app executions per second.
+// generate apps, run every candidate on the worker's reused simulated
+// machine (reset before each run), select decisive winners — the loop that
+// dominates training wall-clock and that the simulator fast path
+// (internal/machine) exists to accelerate. The seeds/s metric is the number
+// of candidate-sweep app executions per second.
 func BenchmarkPhase1WallClock(b *testing.B) {
 	target := adt.ModelTarget{Kind: adt.KindVector, OrderAware: false}
 	opt := training.DefaultOptions(machine.Core2())

@@ -14,6 +14,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/adt"
 	"repro/internal/machine"
@@ -261,17 +262,49 @@ func (app *App) Run(cfg Config, kind adt.Kind, mach *machine.Machine) Result {
 	return Result{Kind: kind, Cycles: p.Cycles, Profile: p}
 }
 
+// RunFresh instantiates the application with the given container kind on a
+// machine of configuration arch in the state machine.New builds, and runs
+// it as Run does. The machine is a reset one from a per-configuration pool,
+// so a worker that runs many applications reuses one machine instead of
+// allocating the simulated caches for every run.
+func (app *App) RunFresh(cfg Config, kind adt.Kind, arch machine.Config) Result {
+	pool := machinePool(arch)
+	m := pool.Get().(*machine.Machine)
+	defer pool.Put(m)
+	m.Reset()
+	return app.Run(cfg, kind, m)
+}
+
 // RunAll instantiates the application with every candidate kind (the
-// original first), each on a fresh machine of the given configuration, and
-// returns the per-kind results in candidate order.
+// original first), each through RunFresh, and returns the per-kind results
+// in candidate order.
 func (app *App) RunAll(cfg Config, arch machine.Config) []Result {
 	kinds := adt.CandidatesWithOriginal(app.Target.Kind, app.Target.OrderAware)
 	out := make([]Result, 0, len(kinds))
 	for _, k := range kinds {
-		m := machine.New(arch)
-		out = append(out, app.Run(cfg, k, m))
+		out = append(out, app.RunFresh(cfg, k, arch))
 	}
 	return out
+}
+
+// machinePools holds the idle machines of each configuration RunFresh has
+// used. A sync.Pool keeps about one per running goroutine, hands a machine
+// to one goroutine at a time, and lets the garbage collector take the idle
+// ones, so a process that stops simulating holds none.
+var (
+	machinePoolsMu sync.Mutex
+	machinePools   = map[machine.Config]*sync.Pool{}
+)
+
+func machinePool(arch machine.Config) *sync.Pool {
+	machinePoolsMu.Lock()
+	defer machinePoolsMu.Unlock()
+	p := machinePools[arch]
+	if p == nil {
+		p = &sync.Pool{New: func() any { return machine.New(arch) }}
+		machinePools[arch] = p
+	}
+	return p
 }
 
 // Best returns the index of the fastest result and whether it beats every

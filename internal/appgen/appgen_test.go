@@ -3,7 +3,10 @@ package appgen
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/adt"
@@ -231,4 +234,75 @@ func TestReadConfigRejectsInvalid(t *testing.T) {
 	if _, err := ReadConfig(strings.NewReader(`{"TotalInterfCalls":0}`)); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+}
+
+// TestRunAllReusesMachines bounds what RunAll allocates once warm: the
+// candidates' containers and results, but no simulated machine, whose Core2
+// caches alone take more than 1.5 MiB.
+func TestRunAllReusesMachines(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled machines at random")
+	}
+	cfg := DefaultConfig()
+	cfg.TotalInterfCalls = 100
+	cfg.MaxPrepopulate = 400
+	cfg.MaxIterCount = 400
+	app := Generate(cfg, adt.ModelTarget{Kind: adt.KindVector}, 1)
+	arch := machine.Core2()
+	app.RunAll(cfg, arch)
+	const calls = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		app.RunAll(cfg, arch)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 256<<10 {
+		t.Fatalf("RunAll allocated %d KiB per call, want under 256 KiB", per>>10)
+	}
+}
+
+// TestRunFreshMatchesNewMachine checks that a pooled machine, used by other
+// runs in between, gives the result a machine fresh from New gives.
+func TestRunFreshMatchesNewMachine(t *testing.T) {
+	cfg := smallCfg()
+	for _, arch := range []machine.Config{machine.Core2(), machine.Atom()} {
+		for seed := int64(1); seed <= 5; seed++ {
+			app := Generate(cfg, adt.ModelTarget{Kind: adt.KindSet}, seed)
+			for _, k := range adt.CandidatesWithOriginal(adt.KindSet, false) {
+				want := app.Run(cfg, k, machine.New(arch))
+				if got := app.RunFresh(cfg, k, arch); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s seed %d %v: pooled run %+v, fresh machine %+v", arch.Name, seed, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRunAllConcurrent runs applications from several goroutines at once,
+// so pooled machines pass between them, and checks every result against a
+// sequential run.
+func TestRunAllConcurrent(t *testing.T) {
+	cfg := smallCfg()
+	arch := machine.Core2()
+	apps := make([]App, 8)
+	want := make([][]Result, len(apps))
+	for i := range apps {
+		apps[i] = Generate(cfg, adt.ModelTarget{Kind: adt.KindMap}, int64(i))
+		want[i] = apps[i].RunAll(cfg, arch)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range apps {
+				app := &apps[(i+g)%len(apps)]
+				if got := app.RunAll(cfg, arch); !reflect.DeepEqual(got, want[(i+g)%len(apps)]) {
+					t.Errorf("goroutine %d, seed %d: concurrent RunAll differs from a sequential one", g, app.Seed)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -23,11 +23,9 @@ func NewBranchPredictor(tableBits, histBits uint) *BranchPredictor {
 		panic("machine: tableBits must be in 1..24")
 	}
 	size := 1 << tableBits
-	t := make([]uint8, size)
-	for i := range t {
-		t[i] = 1 // weakly not-taken
-	}
-	return &BranchPredictor{table: t, mask: uint32(size - 1), histMask: uint32(1)<<histBits - 1}
+	p := &BranchPredictor{table: make([]uint8, size), mask: uint32(size - 1), histMask: uint32(1)<<histBits - 1}
+	p.Reset()
+	return p
 }
 
 // Predict records the outcome of a branch at the given site and returns
@@ -60,10 +58,15 @@ func (p *BranchPredictor) MissRate() float64 {
 	return float64(p.Mispredicts) / float64(p.Branches)
 }
 
-// Reset clears state and statistics.
+// Reset clears state and statistics. Unlike the caches and the TLB, the
+// predictor refills its table rather than moving to a new epoch: the table
+// is small (16 KiB on Core2), and an epoch check on every branch costs more
+// than the refill saves. The fill doubles a filled prefix with copy, which
+// runs at memmove speed where a byte loop would not.
 func (p *BranchPredictor) Reset() {
-	for i := range p.table {
-		p.table[i] = 1
+	p.table[0] = 1 // weakly not-taken
+	for n := 1; n < len(p.table); n *= 2 {
+		copy(p.table[n:], p.table[:n])
 	}
 	p.history = 0
 	p.Branches = 0

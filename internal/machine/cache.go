@@ -2,11 +2,12 @@ package machine
 
 import "repro/internal/mem"
 
-// cacheLine is one way of one set.
+// cacheLine is one way of one set. It holds a line only while its epoch is
+// the cache's.
 type cacheLine struct {
 	tag   uint64
-	valid bool
 	lru   uint64 // larger = more recently used
+	epoch uint8
 }
 
 // Cache is a set-associative cache with true-LRU replacement. It models a
@@ -19,6 +20,7 @@ type Cache struct {
 	lineShift uint
 	setMask   uint64
 	clock     uint64
+	epoch     uint8
 	Accesses  uint64
 	Misses    uint64
 }
@@ -48,6 +50,7 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 		setCount:  setCount,
 		lineShift: shift,
 		setMask:   uint64(setCount - 1),
+		epoch:     1,
 	}
 }
 
@@ -69,26 +72,26 @@ func (c *Cache) Touch(addr mem.Addr) bool {
 	lineAddr := uint64(addr) >> c.lineShift // the full line address is the tag
 	set := lineAddr & c.setMask
 	base := int(set) * c.ways
-	if l := &c.sets[base+int(c.mru[set])]; l.valid && l.tag == lineAddr {
+	if l := &c.sets[base+int(c.mru[set])]; l.epoch == c.epoch && l.tag == lineAddr {
 		l.lru = c.clock
 		return true
 	}
 	victim := base
 	for i := base; i < base+c.ways; i++ {
 		l := &c.sets[i]
-		if l.valid && l.tag == lineAddr {
+		if l.epoch == c.epoch && l.tag == lineAddr {
 			l.lru = c.clock
 			c.mru[set] = int32(i - base)
 			return true
 		}
-		if !l.valid {
+		if l.epoch != c.epoch {
 			victim = i
-		} else if c.sets[victim].valid && l.lru < c.sets[victim].lru {
+		} else if c.sets[victim].epoch == c.epoch && l.lru < c.sets[victim].lru {
 			victim = i
 		}
 	}
 	c.Misses++
-	c.sets[victim] = cacheLine{tag: lineAddr, valid: true, lru: c.clock}
+	c.sets[victim] = cacheLine{tag: lineAddr, lru: c.clock, epoch: c.epoch}
 	c.mru[set] = int32(victim - base)
 	return false
 }
@@ -132,13 +135,15 @@ func (c *Cache) MissRate() float64 {
 	return float64(c.Misses) / float64(c.Accesses)
 }
 
-// Reset clears contents and statistics.
+// Reset clears contents and statistics in O(1): a new epoch leaves every
+// line invalid, and the MRU hints are checked against the line they name.
+// Only when the 8-bit epoch wraps around are the lines cleared, so that one
+// from 255 resets ago cannot pass for current.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = cacheLine{}
-	}
-	for i := range c.mru {
-		c.mru[i] = 0
+	c.epoch++
+	if c.epoch == 0 {
+		clear(c.sets)
+		c.epoch = 1
 	}
 	c.clock = 0
 	c.Accesses = 0

@@ -12,6 +12,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -271,7 +272,7 @@ func New(cfg Config) *Machine {
 		lineMask: uint64(cfg.L1Line - 1),
 		pageMask: uint64(pageBytes - 1),
 	}
-	m.heap.init()
+	m.heap.reset()
 	return m
 }
 
@@ -405,12 +406,15 @@ func (m *Machine) Counters() Counters {
 }
 
 // Reset clears all machine state: caches, predictor, heap, and counters.
+// Afterwards the machine behaves exactly as one fresh from New. The caches
+// and the TLB reset in O(1), so one machine can be reused across many short
+// runs at the cost of refilling the predictor's table.
 func (m *Machine) Reset() {
 	m.l1.Reset()
 	m.l2.Reset()
 	m.tlb.Reset()
 	m.bp.Reset()
-	m.heap.init()
+	m.heap.reset()
 	m.ticks = 0
 	m.reads = 0
 	m.writes = 0
@@ -431,21 +435,24 @@ func (m *Machine) String() string {
 // the realistic property that nodes allocated after churn are scattered.
 type allocator struct {
 	next  uint64
-	freed map[uint64][]mem.Addr // size class -> free blocks
+	freed [64][]mem.Addr // sizeClass -> free blocks, most recent last
 }
 
-func (a *allocator) init() {
+// reset empties the heap, keeping the free lists' capacity.
+func (a *allocator) reset() {
 	a.next = 1 << 20
-	a.freed = make(map[uint64][]mem.Addr)
+	for i := range a.freed {
+		a.freed[i] = a.freed[i][:0]
+	}
 }
 
-func sizeClass(size uint64) uint64 {
-	// Round up to the next power of two, minimum 16 bytes.
-	c := uint64(16)
-	for c < size {
-		c <<= 1
+// sizeClass returns the log2 of the block size serving size: the next power
+// of two, minimum 16 bytes.
+func sizeClass(size uint64) int {
+	if size <= 16 {
+		return 4
 	}
-	return c
+	return bits.Len64(size - 1)
 }
 
 func (a *allocator) alloc(size, align uint64) mem.Addr {
@@ -454,12 +461,11 @@ func (a *allocator) alloc(size, align uint64) mem.Addr {
 	}
 	class := sizeClass(size)
 	if list := a.freed[class]; len(list) > 0 {
-		addr := list[len(list)-1]
 		a.freed[class] = list[:len(list)-1]
-		return addr
+		return list[len(list)-1]
 	}
 	base := (a.next + align - 1) &^ (align - 1)
-	a.next = base + class
+	a.next = base + 1<<class
 	return mem.Addr(base)
 }
 

@@ -98,8 +98,9 @@ func goldenPath(arch string, tgt adt.ModelTarget) string {
 	return filepath.Join("testdata", fmt.Sprintf("golden_%s_%v_%s.json", arch, tgt.Kind, mode))
 }
 
-// computeGolden runs the fixed corpus: every seed, every candidate, fresh
-// machine per run — exactly the per-seed work of Algorithm 1.
+// computeGolden runs the fixed corpus: every seed, every candidate, each
+// candidate on a reset pooled machine through RunAll — exactly the per-seed
+// work of Algorithm 1.
 func computeGolden(tgt adt.ModelTarget, opt Options) goldenFile {
 	gf := goldenFile{
 		Arch:   opt.Arch.Name,

@@ -240,8 +240,7 @@ func phase2(ctx context.Context, target adt.ModelTarget, labels []SeedLabel, opt
 			}
 			lab := labels[i]
 			app := appgen.Generate(opt.AppCfg, target, lab.Seed)
-			m := machine.New(opt.Arch)
-			res := app.Run(opt.AppCfg, target.Kind, m)
+			res := app.RunFresh(opt.AppCfg, target.Kind, opt.Arch)
 			Metrics.CyclesSimulated.Add(res.Cycles)
 			results[i] = pair{prof: res.Profile, label: ds.CandidateIndex(lab.Best)}
 		})
@@ -313,8 +312,7 @@ func validate(ctx context.Context, m *Model, opt Options, n int, seedBase int64,
 			for _, r := range results {
 				hws[i] = hws[i].Add(r.Profile.HW)
 			}
-			mach := machine.New(opt.Arch)
-			run := app.Run(opt.AppCfg, m.Target.Kind, mach)
+			run := app.RunFresh(opt.AppCfg, m.Target.Kind, opt.Arch)
 			hws[i] = hws[i].Add(run.Profile.HW)
 			if m.Predict(&run.Profile) == oracle {
 				correct.Add(1)

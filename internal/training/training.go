@@ -173,8 +173,9 @@ func TrainAll(ctx context.Context, opt Options, annCfg ann.Config, targets []adt
 	return TrainArchs(ctx, []Options{opt}, annCfg, targets, PipelineConfig{Workers: opt.Workers})
 }
 
-// Oracle runs every candidate of the app on a fresh machine and returns the
-// empirically fastest kind — the paper's Oracle scheme.
+// Oracle runs every candidate of the app, each on a reset machine that
+// behaves as a fresh one (appgen.RunAll), and returns the empirically
+// fastest kind — the paper's Oracle scheme.
 func Oracle(app *appgen.App, cfg appgen.Config, arch machine.Config) adt.Kind {
 	results := app.RunAll(cfg, arch)
 	best, _ := appgen.Best(results, 0)
