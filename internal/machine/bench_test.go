@@ -147,3 +147,15 @@ func BenchmarkBranchPredict(b *testing.B) {
 	}
 	reportEvents(b, b.N)
 }
+
+// BenchmarkMachineReset measures returning a Core2 machine to the state New
+// builds, the step between two candidates that share a machine.
+func BenchmarkMachineReset(b *testing.B) {
+	m := New(Core2())
+	base := m.Alloc(1<<20, 64)
+	m.Read(base, 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Reset()
+	}
+}
