@@ -22,16 +22,18 @@ lint:
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; fi
 
 # Race detector over the concurrent subsystems: the HTTP advisor, the
-# training worker pools, the simulated machine and its allocator,
+# training worker pools, the simulated machine and its allocator, the
+# application generator's machine pool (machines pass between goroutines),
 # telemetry, the adaptive container, and the load generator.
 race:
-	$(GO) test -race -short ./internal/serve/... ./internal/training/... ./internal/machine/... ./internal/mem/... ./internal/telemetry/... ./internal/containers/adaptive/... ./internal/loadgen/...
+	$(GO) test -race -short ./internal/serve/... ./internal/training/... ./internal/machine/... ./internal/appgen/... ./internal/mem/... ./internal/telemetry/... ./internal/containers/adaptive/... ./internal/loadgen/...
 
 # A 10-second probe per fuzz target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDequeOps -fuzztime=10s ./internal/containers/deque
 	$(GO) test -run='^$$' -fuzz=FuzzTableOps -fuzztime=10s ./internal/containers/hashtable
 	$(GO) test -run='^$$' -fuzz=FuzzTreeOps  -fuzztime=10s ./internal/containers/rbtree
+	$(GO) test -run='^$$' -fuzz=FuzzBTreeOps -fuzztime=10s ./internal/containers/btree
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecords -fuzztime=10s ./internal/profile
 	$(GO) test -run='^$$' -fuzz=FuzzAdaptiveMigration -fuzztime=10s ./internal/containers/adaptive
 	$(GO) test -run='^$$' -fuzz=FuzzFlatBTree -fuzztime=10s ./internal/containers/flatbtree
