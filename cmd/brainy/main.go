@@ -135,7 +135,8 @@ func analyzeWindows(r *os.File, brainy *core.Brainy, archName string, useRules b
 	if useRules {
 		suggest = drift.Rules
 	}
-	det := drift.New(suggest, drift.Config{})
+	var evs []drift.Event
+	det := drift.New(suggest, drift.Config{OnEvent: func(ev drift.Event) { evs = append(evs, ev) }})
 
 	type agg struct {
 		p       profile.Profile
@@ -194,7 +195,7 @@ func analyzeWindows(r *os.File, brainy *core.Brainy, archName string, useRules b
 		}
 		fmt.Println(line)
 	}
-	if evs := det.Events(); len(evs) > 0 {
+	if len(evs) > 0 {
 		fmt.Printf("phase drift (%d events):\n", len(evs))
 		for _, ev := range evs {
 			fmt.Printf("  %s\n", ev)

@@ -138,11 +138,13 @@ func main() {
 
 	// Drift detection over the deterministic rules advisor: no trained
 	// models needed, same verdicts every run.
+	var evs []drift.Event
 	det := drift.New(drift.Rules, drift.Config{
 		Window:     2,
 		Hysteresis: 2,
 		OnEvent: func(e drift.Event) {
 			fmt.Printf("  !! %s\n", e)
+			evs = append(evs, e)
 		},
 	})
 
@@ -175,7 +177,6 @@ func main() {
 		fmt.Printf("  %-28s initial %-9s current %-9s events %d\n",
 			st.InstanceKey, st.Initial, st.Current, st.Events)
 	}
-	evs := det.Events()
 	if len(evs) == 0 {
 		fmt.Println("no drift detected — try a smaller -window")
 		os.Exit(1)

@@ -49,9 +49,10 @@ type Config struct {
 	// Window is how many interface operations each profiling window covers
 	// (default 64).
 	Window int
-	// Detector tunes the embedded drift detector (blend window, hysteresis,
-	// gates). Its OnEvent and Events fields are honored in addition to the
-	// container's own handling.
+	// Detector tunes the embedded drift detector (blend window and
+	// hysteresis). Its OnEvent, when set, runs after the container's own
+	// handling of each event; BaselineActual is always on, because the
+	// container acts on advice that disagrees with its running backend.
 	Detector drift.Config
 	// Suggest advises on each window blend; nil uses drift.Rules, the
 	// model-free advisor.

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/core"
-	"repro/internal/opstats"
 	"repro/internal/profile"
 )
 
@@ -31,12 +30,6 @@ type Config struct {
 	// advice before the detector raises a drift event (default 2). One
 	// divergent window is noise; H in a row is a phase.
 	Hysteresis int
-	// MinOps skips evaluation while the blended windows cover fewer than
-	// this many interface invocations (default 1 — evaluate always).
-	MinOps uint64
-	// MinConfidence ignores verdicts below this model confidence; an
-	// ignored verdict neither advances nor resets a streak.
-	MinConfidence float64
 	// BaselineActual measures divergence from the backend the instance is
 	// actually running instead of from the first advice. The default
 	// (false) is pure drift detection: the first advice becomes the
@@ -45,11 +38,10 @@ type Config struct {
 	// that disagrees with reality from the very first evaluation is also
 	// confirmed (through the same hysteresis) and raised.
 	BaselineActual bool
-	// Events, when non-nil, is incremented once per drift event — wire it
-	// to the telemetry registry's brainy_drift_events_total.
-	Events *opstats.Counter
 	// OnEvent, when non-nil, runs synchronously for every drift event,
-	// after internal state has been updated.
+	// after internal state has been updated. The detector keeps no event
+	// log: a caller that wants the events collects them here or from
+	// Observe's return value.
 	OnEvent func(Event)
 }
 
@@ -59,9 +51,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Hysteresis < 1 {
 		c.Hysteresis = 2
-	}
-	if c.MinOps < 1 {
-		c.MinOps = 1
 	}
 	return c
 }
@@ -134,7 +123,6 @@ type Detector struct {
 
 	mu   sync.Mutex
 	inst map[string]*instState
-	evs  []Event
 }
 
 // New builds a detector around a Suggester (Brainy.Suggest of a loaded
@@ -197,15 +185,12 @@ func (d *Detector) Observe(rec *profile.WindowRecord, arch string) (*Event, erro
 	st.ops += rec.Ops()
 
 	blended := st.blend()
-	if blended.Stats.TotalCalls() < d.cfg.MinOps {
-		return nil, nil
+	if blended.Stats.TotalCalls() == 0 {
+		return nil, nil // nothing ran in the blend: no workload to advise on
 	}
 	sug, err := d.suggest(&blended, arch)
 	if err != nil {
 		return nil, fmt.Errorf("drift: advising %s: %w", key, err)
-	}
-	if d.cfg.MinConfidence > 0 && sug.Confidence < d.cfg.MinConfidence {
-		return nil, nil // too unsure to move the state machine either way
 	}
 	if !st.advised {
 		st.advised = true
@@ -247,10 +232,6 @@ func (d *Detector) Observe(rec *profile.WindowRecord, arch string) (*Event, erro
 	st.current = st.pending
 	st.streak = 0
 	st.events++
-	d.evs = append(d.evs, ev)
-	if d.cfg.Events != nil {
-		d.cfg.Events.Inc()
-	}
 	if d.cfg.OnEvent != nil {
 		d.cfg.OnEvent(ev)
 	}
@@ -272,15 +253,6 @@ func (st *instState) blend() profile.Profile {
 		out.HW = out.HW.Add(w.HW)
 		out.Cycles += w.Cycles
 	}
-	return out
-}
-
-// Events returns every drift event observed so far, in confirmation order.
-func (d *Detector) Events() []Event {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]Event, len(d.evs))
-	copy(out, d.evs)
 	return out
 }
 
@@ -312,7 +284,7 @@ func (d *Detector) Status(key string) (Status, bool) {
 
 // Forget drops the state kept for one instance, so a caller that bounds
 // its set of live instances (the serving tier's timeline LRU) bounds the
-// detector too. Events already raised for the instance stay in Events.
+// detector too.
 func (d *Detector) Forget(key string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -77,6 +77,7 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		}
 		if ev != nil {
 			resp.Drift = append(resp.Drift, *ev)
+			s.metrics.DriftEvents.Inc()
 			sh.rollup.countDrift(rec.Kind)
 			sh.recordDrift(ev, rec)
 			s.log.Info("phase drift", "instance", ev.InstanceKey,

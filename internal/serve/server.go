@@ -323,7 +323,6 @@ func New(models *training.ModelSet, cfg Config) *Server {
 		sh.drifts = drift.New(suggest, drift.Config{
 			Window:     cfg.DriftWindow,
 			Hysteresis: cfg.DriftHysteresis,
-			Events:     m.DriftEvents,
 		})
 		sh.batcher = shard.NewBatcher[*inferSlot](shard.BatcherConfig{
 			MaxBatch: cfg.BatchSize,

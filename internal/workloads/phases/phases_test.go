@@ -18,7 +18,9 @@ func runWindowed(t *testing.T, window int) ([]drift.Event, []profile.WindowRecor
 	t.Helper()
 	arch := machine.Core2()
 	m := machine.New(arch)
-	det := drift.New(drift.Rules, drift.Config{Window: 2, Hysteresis: 2})
+	var evs []drift.Event
+	det := drift.New(drift.Rules, drift.Config{Window: 2, Hysteresis: 2,
+		OnEvent: func(e drift.Event) { evs = append(evs, e) }})
 	ring := profile.NewWindowRing(1024)
 
 	reg := profile.NewRegistry(m)
@@ -26,7 +28,7 @@ func runWindowed(t *testing.T, window int) ([]drift.Event, []profile.WindowRecor
 	c := reg.NewContainer(Original, 8, Context, false)
 	Drive(c, Config{})
 	reg.FlushWindows()
-	return det.Events(), ring.Records()
+	return evs, ring.Records()
 }
 
 // TestDriveProvablyChangesPhase is the acceptance check: the demo workload
