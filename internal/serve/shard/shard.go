@@ -154,10 +154,6 @@ func (b *Batcher[T]) Submit(ctx context.Context, item T) error {
 	}
 }
 
-// Depth returns the number of items currently queued (not yet moved into a
-// batch).
-func (b *Batcher[T]) Depth() int { return len(b.ch) }
-
 // Drain switches the batcher to immediate flushing: queued items are
 // batched without waiting out the linger interval. Submissions remain
 // accepted; call it when shutdown begins so in-flight requests complete as

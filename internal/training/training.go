@@ -165,14 +165,6 @@ func (s *ModelSet) Get(kind adt.Kind, orderAware bool, arch string) (*Model, boo
 // Len returns the number of registered models.
 func (s *ModelSet) Len() int { return len(s.models) }
 
-// TrainAll runs Phase-I, Phase-II, and model fitting for every target on
-// the options' architecture, returning the populated registry. It is the
-// single-architecture form of TrainArchs; the targets share one worker
-// pool and progress concurrently.
-func TrainAll(ctx context.Context, opt Options, annCfg ann.Config, targets []adt.ModelTarget) (*ModelSet, error) {
-	return TrainArchs(ctx, []Options{opt}, annCfg, targets, PipelineConfig{Workers: opt.Workers})
-}
-
 // Oracle runs every candidate of the app, each on a reset machine that
 // behaves as a fresh one (appgen.RunAll), and returns the empirically
 // fastest kind — the paper's Oracle scheme.

@@ -207,7 +207,7 @@ func TestTrainAllCoversTargets(t *testing.T) {
 		{Kind: adt.KindVector, OrderAware: false},
 		{Kind: adt.KindSet, OrderAware: false},
 	}
-	set, err := TrainAll(context.Background(), opt, tinyANN(), targets)
+	set, err := TrainArchs(context.Background(), []Options{opt}, tinyANN(), targets, PipelineConfig{Workers: opt.Workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,41 +218,5 @@ func TestTrainAllCoversTargets(t *testing.T) {
 		if _, ok := set.Get(tgt.Kind, tgt.OrderAware, "Core2"); !ok {
 			t.Fatalf("missing model for %v", tgt)
 		}
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	opt := tinyOptions(machine.Core2())
-	opt.PerTargetApps = 100
-	opt.MaxSeeds = 900
-	tgt := adt.ModelTarget{Kind: adt.KindVector, OrderAware: false}
-	labels, err := Phase1(context.Background(), tgt, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := Phase2(context.Background(), tgt, labels, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean, std, err := CrossValidate(context.Background(), ds, tinyANN(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chance := 1.0 / float64(len(ds.Candidates))
-	if mean < chance+0.1 || mean > 1 {
-		t.Fatalf("cv mean %.2f implausible (chance %.2f)", mean, chance)
-	}
-	if std < 0 || std > 0.5 {
-		t.Fatalf("cv std %.2f implausible", std)
-	}
-}
-
-func TestCrossValidateValidation(t *testing.T) {
-	ds := Dataset{Candidates: []adt.Kind{adt.KindVector, adt.KindList}}
-	if _, _, err := CrossValidate(context.Background(), ds, tinyANN(), 1); err == nil {
-		t.Fatal("k=1 accepted")
-	}
-	if _, _, err := CrossValidate(context.Background(), ds, tinyANN(), 3); err == nil {
-		t.Fatal("empty dataset accepted")
 	}
 }
