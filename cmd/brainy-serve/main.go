@@ -28,8 +28,9 @@
 //	                              trees (-trace-slow; ?format=text|json)
 //	GET  /healthz                 liveness and model count (stays 200 during
 //	                              drain; /v1/health flips to draining)
-//	GET  /metrics                 text exposition of service metrics
-//	                              (latency buckets carry request-ID exemplars)
+//	GET  /metrics                 service metrics, text exposition (latency
+//	                              buckets carry request-ID exemplars);
+//	                              ?format=json serves the same typed samples
 //	GET  /debug/pprof/            runtime profiling (only with -pprof)
 //
 // Every request carries a correlation ID: a client-supplied X-Request-ID is

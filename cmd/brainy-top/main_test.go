@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/opstats"
 	"repro/internal/serve"
+	"repro/internal/telemetry"
 )
 
 func TestFetchAndRender(t *testing.T) {
@@ -104,7 +104,7 @@ func TestRenderExemplars(t *testing.T) {
 	if out := renderExemplars(nil); out != "" {
 		t.Errorf("no exemplars should render nothing, got %q", out)
 	}
-	out := renderExemplars([]opstats.BucketExemplar{
+	out := renderExemplars([]telemetry.BucketExemplar{
 		{LE: "0.005", RequestID: "req-fast", Value: 0.004},
 		{LE: "0.1", RequestID: "req-slow", Value: 0.09},
 	})
@@ -118,21 +118,23 @@ func TestRenderExemplars(t *testing.T) {
 	}
 }
 
-// TestFetchExemplarsFromMetrics parses a real exposition page shape.
+// TestFetchExemplarsFromMetrics reads exemplars from the JSON view of the
+// server's own metric set.
 func TestFetchExemplarsFromMetrics(t *testing.T) {
+	m := serve.NewMetrics()
+	m.Latency.Observe(0.2)
+	m.Latency.ObserveExemplar(0.0041, "abc123")
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/metrics" {
 			http.Error(w, "wrong path", http.StatusNotFound)
 			return
 		}
-		w.Write([]byte("# TYPE brainy_request_duration_seconds histogram\n" +
-			"brainy_request_duration_seconds_bucket{le=\"0.005\"} 12 # {request_id=\"abc123\"} 0.0041\n" +
-			"brainy_request_duration_seconds_bucket{le=\"+Inf\"} 12\n"))
+		m.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
 	exs := fetchExemplars(srv.Client(), srv.URL)
-	if len(exs) != 1 || exs[0].RequestID != "abc123" || exs[0].LE != "0.005" {
-		t.Fatalf("parsed exemplars: %+v", exs)
+	if len(exs) != 1 || exs[0].RequestID != "abc123" || exs[0].LE != "0.005" || exs[0].Value != 0.0041 {
+		t.Fatalf("exemplars: %+v", exs)
 	}
 	// Best-effort contract: a down or 404 service yields no pane, no error.
 	if exs := fetchExemplars(srv.Client(), srv.URL+"/nope"); exs != nil {

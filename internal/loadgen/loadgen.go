@@ -24,8 +24,8 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/machine"
-	"repro/internal/opstats"
 	"repro/internal/profile"
+	"repro/internal/telemetry"
 )
 
 // Config tunes one load-generation run.
@@ -124,7 +124,7 @@ type Report struct {
 
 	// ServerP*Ms are the server's own advise-latency quantiles over the
 	// measured phase, interpolated from the /metrics histogram delta with
-	// the same opstats.HistogramSnapshot.Quantile the tsdb and dashboard
+	// the same telemetry.HistogramSnapshot.Quantile the tsdb and dashboard
 	// use. Comparing them with LatencyP*Ms separates queueing in the server
 	// from time on the wire; 0 when /metrics was unavailable.
 	ServerP50Ms float64 `json:"server_p50_ms,omitempty"`
@@ -140,8 +140,9 @@ type Report struct {
 	// state. Empty when the endpoint was unavailable.
 	P99TrendMs []float64 `json:"p99_trend_ms,omitempty"`
 
-	// CacheHitRate is hits/(hits+misses) over the measured phase, scraped
-	// from the server's /metrics page; -1 when the page was unavailable.
+	// CacheHitRate is hits/(hits+misses) over the measured phase, read
+	// from the server's /metrics?format=json samples; -1 when they were
+	// unavailable.
 	CacheHitRate float64 `json:"cache_hit_rate"`
 
 	// P99Exemplars are the request IDs the server stamped on its slowest
@@ -150,7 +151,7 @@ type Report struct {
 	P99Exemplars []ExemplarRef `json:"p99_exemplars,omitempty"`
 }
 
-// ExemplarRef names one traceable slow request scraped from /metrics.
+// ExemplarRef names one traceable slow request read from /metrics.
 type ExemplarRef struct {
 	BucketLE  string  `json:"bucket_le"`
 	RequestID string  `json:"request_id"`
@@ -231,40 +232,40 @@ func NewRunner(cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-// counters is the /metrics scrape the hit rate, exemplars, and server-side
-// latency histogram come from.
+// counters is the /metrics?format=json read the hit rate, exemplars, and
+// server-side latency histogram come from.
 type counters struct {
 	hits, misses float64
 	ok           bool
-	exemplars    []opstats.BucketExemplar
-	hist         opstats.HistogramSnapshot
+	exemplars    []telemetry.BucketExemplar
+	hist         telemetry.HistogramSnapshot
 	histOK       bool
 }
 
 func (r *Runner) scrape() counters {
-	resp, err := r.client.Get(r.cfg.URL + "/metrics")
+	resp, err := r.client.Get(r.cfg.URL + "/metrics?format=json")
 	if err != nil {
 		return counters{}
 	}
 	defer resp.Body.Close()
-	page, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK {
+		return counters{}
+	}
+	samples, err := telemetry.DecodeSamples(resp.Body)
+	if err != nil {
 		return counters{}
 	}
 	var c counters
-	c.exemplars = opstats.ParseExemplars(string(page), "brainy_request_duration_seconds")
-	c.hist, c.histOK = opstats.ParseHistogram(string(page), "brainy_advise_duration_seconds")
-	for _, line := range strings.Split(string(page), "\n") {
-		var name string
-		var val float64
-		if n, _ := fmt.Sscanf(line, "%s %g", &name, &val); n != 2 {
-			continue
-		}
-		switch name {
-		case "brainy_cache_hits_total":
-			c.hits, c.ok = val, true
-		case "brainy_cache_misses_total":
-			c.misses, c.ok = val, true
+	for _, s := range samples {
+		switch {
+		case s.Name == "brainy_cache_hits_total":
+			c.hits, c.ok = s.Value, true
+		case s.Name == "brainy_cache_misses_total":
+			c.misses, c.ok = s.Value, true
+		case s.Name == "brainy_advise_duration_seconds" && s.Hist != nil:
+			c.hist, c.histOK = *s.Hist, true
+		case s.Name == "brainy_request_duration_seconds" && s.Hist != nil:
+			c.exemplars = s.Hist.Exemplars()
 		}
 	}
 	return c
@@ -394,7 +395,7 @@ func (r *Runner) fetchP99Trend(window time.Duration) []float64 {
 // bucket exemplar at or above the measured p99, slowest first — or, when
 // the whole histogram sits under the p99 cut (coarse buckets), the single
 // slowest exemplar so the report always links to at least one request.
-func p99Exemplars(exs []opstats.BucketExemplar, p99Ms float64) []ExemplarRef {
+func p99Exemplars(exs []telemetry.BucketExemplar, p99Ms float64) []ExemplarRef {
 	var out []ExemplarRef
 	for _, ex := range exs {
 		out = append(out, ExemplarRef{

@@ -1,13 +1,14 @@
-package opstats
+package opstats_test
 
 import (
-	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func TestGaugeSetAddIncDec(t *testing.T) {
-	var g Gauge
+	var g telemetry.Gauge
 	g.Set(4)
 	g.Add(2.5)
 	g.Inc()
@@ -22,7 +23,7 @@ func TestGaugeSetAddIncDec(t *testing.T) {
 }
 
 func TestGaugeConcurrent(t *testing.T) {
-	var g Gauge
+	var g telemetry.Gauge
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -41,16 +42,12 @@ func TestGaugeConcurrent(t *testing.T) {
 }
 
 func TestGaugeExpose(t *testing.T) {
-	var g Gauge
-	g.Set(3)
-	var b strings.Builder
-	g.Expose(&b, "inflight", "")
-	if b.String() != "inflight 3\n" {
-		t.Fatalf("exposed %q", b.String())
-	}
-	b.Reset()
-	g.Expose(&b, "inflight", `zone="a"`)
-	if b.String() != "inflight{zone=\"a\"} 3\n" {
-		t.Fatalf("exposed %q", b.String())
+	r := telemetry.NewRegistry()
+	r.Gauge("inflight", "").Set(3)
+	r.GaugeFunc("ratio", "", func() float64 { return 0.25 })
+	r.Info("zone_info", "", `zone="a"`)
+	want := "inflight 3\nratio 0.25\nzone_info{zone=\"a\"} 1\n"
+	if got := page(r); got != want {
+		t.Fatalf("exposed %q, want %q", got, want)
 	}
 }

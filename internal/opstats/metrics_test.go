@@ -1,13 +1,29 @@
-package opstats
+// The metric primitives live in internal/telemetry; their unit tests are
+// kept here, as an external test package, under their original names.
+package opstats_test
 
 import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
+// page renders a registry's sample lines, without HELP and TYPE metadata.
+func page(r *telemetry.Registry) string {
+	var sb, out strings.Builder
+	r.Expose(&sb)
+	for _, line := range strings.SplitAfter(sb.String(), "\n") {
+		if !strings.HasPrefix(line, "# ") {
+			out.WriteString(line)
+		}
+	}
+	return out.String()
+}
+
 func TestCounterConcurrent(t *testing.T) {
-	var c Counter
+	var c telemetry.Counter
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -29,22 +45,20 @@ func TestCounterConcurrent(t *testing.T) {
 }
 
 func TestCounterExpose(t *testing.T) {
-	var c Counter
-	c.Add(3)
-	var sb strings.Builder
-	c.Expose(&sb, "reqs_total", `path="/x"`)
-	if got := sb.String(); got != "reqs_total{path=\"/x\"} 3\n" {
-		t.Fatalf("exposition = %q", got)
-	}
-	sb.Reset()
-	c.Expose(&sb, "reqs_total", "")
-	if got := sb.String(); got != "reqs_total 3\n" {
-		t.Fatalf("unlabeled exposition = %q", got)
+	r := telemetry.NewRegistry()
+	r.CounterVec("reqs_by_path_total", "").With(`path="/x"`).Add(3)
+	r.Counter("reqs_total", "").Add(3)
+	// Whole counts print as integers, even past %g's exponent threshold.
+	r.Counter("zz_total", "").Add(12345678)
+	want := "reqs_by_path_total{path=\"/x\"} 3\nreqs_total 3\nzz_total 12345678\n"
+	if got := page(r); got != want {
+		t.Fatalf("exposition = %q, want %q", got, want)
 	}
 }
 
 func TestCounterVec(t *testing.T) {
-	v := NewCounterVec()
+	r := telemetry.NewRegistry()
+	v := r.CounterVec("infer_total", "")
 	v.With(`arch="Core2"`).Inc()
 	v.With(`arch="Core2"`).Inc()
 	v.With(`arch="Atom"`).Inc()
@@ -57,16 +71,14 @@ func TestCounterVec(t *testing.T) {
 	if v.Total() != 3 {
 		t.Fatalf("total = %d", v.Total())
 	}
-	var sb strings.Builder
-	v.Expose(&sb, "infer_total")
 	want := "infer_total{arch=\"Atom\"} 1\ninfer_total{arch=\"Core2\"} 2\n"
-	if sb.String() != want {
-		t.Fatalf("exposition = %q, want %q", sb.String(), want)
+	if got := page(r); got != want {
+		t.Fatalf("exposition = %q, want %q", got, want)
 	}
 }
 
 func TestCounterVecConcurrent(t *testing.T) {
-	v := NewCounterVec()
+	v := telemetry.NewCounterVec()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -85,7 +97,7 @@ func TestCounterVecConcurrent(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(0.01, 0.1, 1)
+	h := telemetry.NewHistogram(0.01, 0.1, 1)
 	for _, s := range []float64{0.005, 0.01, 0.05, 0.5, 2, 3} {
 		h.Observe(s)
 	}
@@ -107,12 +119,11 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestHistogramExposeCumulative(t *testing.T) {
-	h := NewHistogram(0.01, 0.1)
+	r := telemetry.NewRegistry()
+	h := r.Histogram("lat_seconds", "", 0.01, 0.1)
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(7)
-	var sb strings.Builder
-	h.Expose(&sb, "lat_seconds")
 	want := strings.Join([]string{
 		`lat_seconds_bucket{le="0.01"} 1`,
 		`lat_seconds_bucket{le="0.1"} 2`,
@@ -122,8 +133,8 @@ func TestHistogramExposeCumulative(t *testing.T) {
 		`lat_seconds_min 0.005`,
 		`lat_seconds_max 7`,
 	}, "\n") + "\n"
-	if sb.String() != want {
-		t.Fatalf("exposition:\n%s\nwant:\n%s", sb.String(), want)
+	if got := page(r); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -131,11 +142,10 @@ func TestHistogramExposeCumulative(t *testing.T) {
 // histograms expose no _min/_max lines, a single sample pins both extremes,
 // and later samples only widen them.
 func TestHistogramMinMax(t *testing.T) {
-	h := NewHistogram(1, 10)
-	var sb strings.Builder
-	h.Expose(&sb, "w")
-	if strings.Contains(sb.String(), "w_min") || strings.Contains(sb.String(), "w_max") {
-		t.Fatalf("empty histogram exposed extremes:\n%s", sb.String())
+	r := telemetry.NewRegistry()
+	h := r.Histogram("w", "", 1, 10)
+	if got := page(r); strings.Contains(got, "w_min") || strings.Contains(got, "w_max") {
+		t.Fatalf("empty histogram exposed extremes:\n%s", got)
 	}
 	h.Observe(4)
 	if s := h.Snapshot(); s.Min != 4 || s.Max != 4 {
@@ -150,7 +160,7 @@ func TestHistogramMinMax(t *testing.T) {
 }
 
 func TestHistogramMinMaxConcurrent(t *testing.T) {
-	h := NewHistogram(100)
+	h := telemetry.NewHistogram(100)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -168,19 +178,19 @@ func TestHistogramMinMaxConcurrent(t *testing.T) {
 }
 
 func TestHistogramDefaultBuckets(t *testing.T) {
-	h := NewHistogram()
+	h := telemetry.NewHistogram()
 	h.Observe(0.0002)
 	if h.Count() != 1 {
 		t.Fatalf("count = %d", h.Count())
 	}
 	snap := h.Snapshot()
-	if len(snap.Bounds) != len(DefBuckets) || len(snap.Counts) != len(DefBuckets)+1 {
+	if len(snap.Bounds) != len(telemetry.DefBuckets) || len(snap.Counts) != len(telemetry.DefBuckets)+1 {
 		t.Fatalf("default shape: %d bounds, %d counts", len(snap.Bounds), len(snap.Counts))
 	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram(1, 2, 3)
+	h := telemetry.NewHistogram(1, 2, 3)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -203,5 +213,5 @@ func TestHistogramRejectsUnsortedBounds(t *testing.T) {
 			t.Fatal("unsorted bounds accepted")
 		}
 	}()
-	NewHistogram(1, 1)
+	telemetry.NewHistogram(1, 1)
 }

@@ -1,9 +1,10 @@
-package opstats
+package opstats_test
 
 import (
 	"math"
-	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -12,7 +13,7 @@ func TestQuantileInterpolation(t *testing.T) {
 	// 100 samples uniform in [0,1): bucket layout {0.25, 0.5, 1.0} with 25,
 	// 25, 50 samples. The q-quantile should interpolate linearly inside the
 	// covering bucket.
-	s := HistogramSnapshot{
+	s := telemetry.HistogramSnapshot{
 		Bounds: []float64{0.25, 0.5, 1.0},
 		Counts: []uint64{25, 25, 50, 0},
 		Count:  100,
@@ -32,7 +33,7 @@ func TestQuantileInterpolation(t *testing.T) {
 }
 
 func TestQuantileInfClampsToHighestFiniteBound(t *testing.T) {
-	s := HistogramSnapshot{
+	s := telemetry.HistogramSnapshot{
 		Bounds: []float64{0.001, 0.01},
 		Counts: []uint64{1, 0, 9}, // 9 of 10 samples overflowed
 		Count:  10,
@@ -46,11 +47,11 @@ func TestQuantileInfClampsToHighestFiniteBound(t *testing.T) {
 }
 
 func TestQuantileEdgeCases(t *testing.T) {
-	var empty HistogramSnapshot
+	var empty telemetry.HistogramSnapshot
 	if got := empty.Quantile(0.5); got != 0 {
 		t.Fatalf("empty snapshot Quantile = %g, want 0", got)
 	}
-	s := HistogramSnapshot{Bounds: []float64{1, 2}, Counts: []uint64{0, 4, 0}, Count: 4}
+	s := telemetry.HistogramSnapshot{Bounds: []float64{1, 2}, Counts: []uint64{0, 4, 0}, Count: 4}
 	// Out-of-range q clamps.
 	if got := s.Quantile(-1); !almost(got, 1) {
 		t.Fatalf("Quantile(-1) = %g, want 1 (rank 0 lands at second bucket's lower bound)", got)
@@ -65,7 +66,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 }
 
 func TestQuantileAgainstLiveHistogram(t *testing.T) {
-	h := NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1)
+	h := telemetry.NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1)
 	for i := 0; i < 1000; i++ {
 		h.Observe(float64(i) * 0.0001) // uniform in [0, 0.1)
 	}
@@ -81,7 +82,7 @@ func TestQuantileAgainstLiveHistogram(t *testing.T) {
 }
 
 func TestFractionLE(t *testing.T) {
-	s := HistogramSnapshot{
+	s := telemetry.HistogramSnapshot{
 		Bounds: []float64{0.25, 0.5, 1.0},
 		Counts: []uint64{25, 25, 50, 0},
 		Count:  100,
@@ -98,18 +99,18 @@ func TestFractionLE(t *testing.T) {
 			t.Errorf("FractionLE(%g) = %g, want %g", tc.x, got, tc.want)
 		}
 	}
-	var empty HistogramSnapshot
+	var empty telemetry.HistogramSnapshot
 	if got := empty.FractionLE(1); got != 1 {
 		t.Fatalf("empty FractionLE = %g, want 1", got)
 	}
-	overflow := HistogramSnapshot{Bounds: []float64{1}, Counts: []uint64{1, 3}, Count: 4}
+	overflow := telemetry.HistogramSnapshot{Bounds: []float64{1}, Counts: []uint64{1, 3}, Count: 4}
 	if got := overflow.FractionLE(1); !almost(got, 0.25) {
 		t.Fatalf("FractionLE at last bound = %g, want 0.25 (overflow mass excluded)", got)
 	}
 }
 
 func TestSnapshotSub(t *testing.T) {
-	h := NewHistogram(1, 2)
+	h := telemetry.NewHistogram(1, 2)
 	h.Observe(0.5)
 	h.Observe(1.5)
 	before := h.Snapshot()
@@ -127,47 +128,14 @@ func TestSnapshotSub(t *testing.T) {
 		}
 	}
 	// Mismatched layouts degrade to the cumulative reading.
-	other := HistogramSnapshot{Bounds: []float64{3}, Counts: []uint64{1, 0}, Count: 1}
+	other := telemetry.HistogramSnapshot{Bounds: []float64{3}, Counts: []uint64{1, 0}, Count: 1}
 	if got := after.Sub(other); got.Count != after.Count {
 		t.Fatalf("layout-mismatched Sub returned %v, want s unchanged", got)
 	}
 }
 
-func TestParseHistogramRoundTrip(t *testing.T) {
-	h := NewHistogram(0.001, 0.01, 0.1)
-	for _, v := range []float64{0.0005, 0.002, 0.05, 0.5} {
-		h.Observe(v)
-	}
-	var sb strings.Builder
-	h.Expose(&sb, "test_latency_seconds")
-	got, ok := ParseHistogram(sb.String(), "test_latency_seconds")
-	if !ok {
-		t.Fatalf("ParseHistogram failed on:\n%s", sb.String())
-	}
-	want := h.Snapshot()
-	if got.Count != want.Count || !almost(got.Sum, want.Sum) {
-		t.Fatalf("count/sum = %d/%g, want %d/%g", got.Count, got.Sum, want.Count, want.Sum)
-	}
-	for i := range want.Counts {
-		if got.Counts[i] != want.Counts[i] {
-			t.Fatalf("counts = %v, want %v", got.Counts, want.Counts)
-		}
-	}
-	for i := range want.Bounds {
-		if got.Bounds[i] != want.Bounds[i] {
-			t.Fatalf("bounds = %v, want %v", got.Bounds, want.Bounds)
-		}
-	}
-	if got.Min != want.Min || got.Max != want.Max {
-		t.Fatalf("min/max = %g/%g, want %g/%g", got.Min, got.Max, want.Min, want.Max)
-	}
-	if _, ok := ParseHistogram(sb.String(), "absent_metric"); ok {
-		t.Fatal("ParseHistogram found a histogram that is not on the page")
-	}
-}
-
 func TestCounterVecEach(t *testing.T) {
-	v := NewCounterVec()
+	v := telemetry.NewCounterVec()
 	v.With(`path="/b"`).Add(2)
 	v.With(`path="/a"`).Inc()
 	var gotLabels []string

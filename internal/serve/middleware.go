@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/opstats"
 	"repro/internal/telemetry"
 )
 
@@ -69,19 +68,19 @@ const otherPath = "<other>"
 // is a read-locked map hit — no fmt.Sprintf per request.
 type routeCounters struct {
 	path string
-	vec  *opstats.CounterVec
+	vec  *telemetry.CounterVec
 
 	mu     sync.RWMutex
-	byCode map[int]*opstats.Counter
+	byCode map[int]*telemetry.Counter
 }
 
-func newRouteCounters(path string, vec *opstats.CounterVec) *routeCounters {
-	return &routeCounters{path: path, vec: vec, byCode: make(map[int]*opstats.Counter)}
+func newRouteCounters(path string, vec *telemetry.CounterVec) *routeCounters {
+	return &routeCounters{path: path, vec: vec, byCode: make(map[int]*telemetry.Counter)}
 }
 
 // counter returns the route's counter for one status code, rendering and
 // caching the label string on first use.
-func (rc *routeCounters) counter(code int) *opstats.Counter {
+func (rc *routeCounters) counter(code int) *telemetry.Counter {
 	rc.mu.RLock()
 	c := rc.byCode[code]
 	rc.mu.RUnlock()
@@ -101,7 +100,7 @@ func (rc *routeCounters) counter(code int) *opstats.Counter {
 // requestCounter resolves the counter for a finished request, mapping
 // non-routed paths to the shared <other> bucket and every pprof page to
 // one /debug/pprof/ label.
-func (s *Server) requestCounter(path string, code int) *opstats.Counter {
+func (s *Server) requestCounter(path string, code int) *telemetry.Counter {
 	rc, ok := s.routes[path]
 	if !ok {
 		if s.cfg.EnablePprof && strings.HasPrefix(path, pprofPrefix) {

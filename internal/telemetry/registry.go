@@ -1,6 +1,7 @@
-// Package telemetry is the repository's observability backbone: a central
-// metric registry that renders the whole Prometheus text exposition in one
-// sorted pass, and a lightweight span tracer with pluggable exporters.
+// Package telemetry is the repository's observability backbone: the metric
+// primitives, a central registry that reads them as typed samples and
+// renders those as the Prometheus text exposition or JSON, and a
+// lightweight span tracer with pluggable exporters.
 // Brainy's premise is measurement — instrumented interface functions feeding
 // a profile to a model — and this package applies the same discipline to the
 // pipeline itself: the training run, the simulator, and the HTTP advisor all
@@ -9,6 +10,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,8 +18,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"repro/internal/opstats"
 )
 
 // MetricType is the TYPE metadata of a registered metric, matching the
@@ -33,35 +33,33 @@ const (
 // validName is the Prometheus metric-name grammar.
 var validName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
-// metric is one registry entry: identity, metadata, how to render its
-// sample lines (HELP/TYPE are the registry's job), and how to read its
-// current value(s) as typed samples for in-process consumers.
+// metric is one registry entry: identity, metadata, and how to read its
+// current value(s) as typed samples. Every rendering — the text page, the
+// JSON view, the time-series store — starts from that one read.
 type metric struct {
-	name   string
-	help   string
-	typ    MetricType
-	expose func(io.Writer)
-	sample func(append []Sample) []Sample
+	name  string
+	help  string
+	typ   MetricType
+	whole bool // values are whole counts, printed with %d on the text page
+	read  func(out []Sample) []Sample
 }
 
-// Sample is one typed metric reading, the structured counterpart of a text
-// exposition line. Labelled families contribute one Sample per child with
-// the rendered label list folded into the name (`requests{path="/x"}`), so a
-// sample name is a stable series identity. Histograms carry their full
-// snapshot so consumers can difference windows and interpolate quantiles
-// instead of settling for a scalar.
+// Sample is one typed metric reading. Labelled families contribute one
+// Sample per child with the rendered label list folded into the name
+// (`requests{path="/x"}`), so a sample name is a stable series identity.
+// Histograms carry their full snapshot so consumers can difference windows
+// and interpolate quantiles instead of settling for a scalar.
 type Sample struct {
-	Name  string
-	Type  MetricType
-	Value float64                    // counter/gauge value; histogram sample count
-	Hist  *opstats.HistogramSnapshot // non-nil only for histograms
+	Name  string             `json:"name"`
+	Type  MetricType         `json:"type"`
+	Value float64            `json:"value"`          // counter/gauge value; histogram sample count
+	Hist  *HistogramSnapshot `json:"hist,omitempty"` // non-nil only for histograms
 }
 
 // Registry is a register-once collection of named metrics. Registration
 // panics on an invalid or duplicate name — metric identity is program
 // structure, so a collision is a bug, not a runtime condition. All methods
-// are safe for concurrent use; the primitives themselves come from
-// internal/opstats and are individually concurrency-safe.
+// are safe for concurrent use, and so are the primitives they return.
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]metric
@@ -72,9 +70,8 @@ func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[string]metric)}
 }
 
-// register installs one entry, enforcing the register-once contract. sample
-// may be nil for opaque custom collectors, which Samples then skips.
-func (r *Registry) register(name, help string, typ MetricType, expose func(io.Writer), sample func([]Sample) []Sample) {
+// register installs one entry, enforcing the register-once contract.
+func (r *Registry) register(name, help string, typ MetricType, whole bool, read func([]Sample) []Sample) {
 	if !validName.MatchString(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
@@ -83,112 +80,96 @@ func (r *Registry) register(name, help string, typ MetricType, expose func(io.Wr
 	if _, dup := r.metrics[name]; dup {
 		panic(fmt.Sprintf("telemetry: metric %q registered twice", name))
 	}
-	r.metrics[name] = metric{name: name, help: help, typ: typ, expose: expose, sample: sample}
-}
-
-// MustRegister installs a custom collector under a name. expose writes only
-// the sample lines; the registry emits HELP and TYPE. Custom collectors are
-// text-only: Samples skips them because the registry cannot read typed
-// values out of an opaque writer.
-func (r *Registry) MustRegister(name, help string, typ MetricType, expose func(io.Writer)) {
-	r.register(name, help, typ, expose, nil)
+	r.metrics[name] = metric{name: name, help: help, typ: typ, whole: whole, read: read}
 }
 
 // Counter registers and returns a monotonic counter.
-func (r *Registry) Counter(name, help string) *opstats.Counter {
-	c := &opstats.Counter{}
-	r.register(name, help, TypeCounter,
-		func(w io.Writer) { c.Expose(w, name, "") },
-		func(out []Sample) []Sample {
-			return append(out, Sample{Name: name, Type: TypeCounter, Value: float64(c.Value())})
-		})
+func (r *Registry) Counter(name, help string) *Counter {
+	c := &Counter{}
+	r.register(name, help, TypeCounter, true, func(out []Sample) []Sample {
+		return append(out, Sample{Name: name, Type: TypeCounter, Value: float64(c.Value())})
+	})
 	return c
 }
 
 // FloatCounter registers and returns a monotonic float64 counter.
-func (r *Registry) FloatCounter(name, help string) *opstats.FloatCounter {
-	c := &opstats.FloatCounter{}
-	r.register(name, help, TypeCounter,
-		func(w io.Writer) { c.Expose(w, name, "") },
-		func(out []Sample) []Sample {
-			return append(out, Sample{Name: name, Type: TypeCounter, Value: c.Value()})
-		})
+func (r *Registry) FloatCounter(name, help string) *FloatCounter {
+	c := &FloatCounter{}
+	r.register(name, help, TypeCounter, false, func(out []Sample) []Sample {
+		return append(out, Sample{Name: name, Type: TypeCounter, Value: c.Value()})
+	})
 	return c
 }
 
 // CounterVec registers and returns a labelled counter family.
-func (r *Registry) CounterVec(name, help string) *opstats.CounterVec {
-	v := opstats.NewCounterVec()
-	r.register(name, help, TypeCounter,
-		func(w io.Writer) { v.Expose(w, name) },
-		func(out []Sample) []Sample {
-			v.Each(func(labels string, value uint64) {
-				out = append(out, Sample{
-					Name:  name + "{" + labels + "}",
-					Type:  TypeCounter,
-					Value: float64(value),
-				})
-			})
-			return out
+func (r *Registry) CounterVec(name, help string) *CounterVec {
+	v := NewCounterVec()
+	r.register(name, help, TypeCounter, true, func(out []Sample) []Sample {
+		v.Each(func(labels string, value uint64) {
+			out = append(out, Sample{Name: name + "{" + labels + "}", Type: TypeCounter, Value: float64(value)})
 		})
+		return out
+	})
 	return v
 }
 
 // Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string) *opstats.Gauge {
-	g := &opstats.Gauge{}
-	r.register(name, help, TypeGauge,
-		func(w io.Writer) { g.Expose(w, name, "") },
-		func(out []Sample) []Sample {
-			return append(out, Sample{Name: name, Type: TypeGauge, Value: g.Value()})
-		})
+func (r *Registry) Gauge(name, help string) *Gauge {
+	g := &Gauge{}
+	r.GaugeFunc(name, help, g.Value)
 	return g
 }
 
-// GaugeFunc registers a gauge whose value is read from fn at exposition
-// time — for quantities some other subsystem already tracks (a process-wide
+// GaugeFunc registers a gauge whose value is read from fn at read time —
+// for quantities some other subsystem already tracks (a process-wide
 // allocator gauge, a pool depth) where a stored gauge would just be a stale
 // copy needing its own update discipline.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, TypeGauge,
-		func(w io.Writer) {
-			fmt.Fprintf(w, "%s %g\n", name, fn())
-		},
-		func(out []Sample) []Sample {
-			return append(out, Sample{Name: name, Type: TypeGauge, Value: fn()})
-		})
+	r.register(name, help, TypeGauge, false, func(out []Sample) []Sample {
+		return append(out, Sample{Name: name, Type: TypeGauge, Value: fn()})
+	})
+}
+
+// Info registers an info metric: a constant gauge of 1 whose rendered label
+// list (`version="v1",...`) carries the identity, the Prometheus idiom for
+// build and configuration metadata.
+func (r *Registry) Info(name, help, labels string) {
+	s := Sample{Name: name + "{" + labels + "}", Type: TypeGauge, Value: 1}
+	r.register(name, help, TypeGauge, false, func(out []Sample) []Sample { return append(out, s) })
 }
 
 // Histogram registers and returns a histogram with the given ascending
-// bucket bounds (opstats.DefBuckets when none are given).
-func (r *Registry) Histogram(name, help string, bounds ...float64) *opstats.Histogram {
-	h := opstats.NewHistogram(bounds...)
-	r.register(name, help, TypeHistogram,
-		func(w io.Writer) { h.Expose(w, name) },
-		func(out []Sample) []Sample {
-			s := h.Snapshot()
-			return append(out, Sample{Name: name, Type: TypeHistogram, Value: float64(s.Count), Hist: &s})
-		})
+// bucket bounds (DefBuckets when none are given).
+func (r *Registry) Histogram(name, help string, bounds ...float64) *Histogram {
+	h := NewHistogram(bounds...)
+	r.register(name, help, TypeHistogram, false, func(out []Sample) []Sample {
+		s := h.Snapshot()
+		return append(out, Sample{Name: name, Type: TypeHistogram, Value: float64(s.Count), Hist: &s})
+	})
 	return h
 }
 
-// Samples reads every registered metric's current value as typed samples,
-// sorted by name — the structured sibling of Expose, consumed by the
-// in-process time-series sampler. Custom MustRegister collectors are
-// skipped; labelled families expand to one sample per child.
-func (r *Registry) Samples() []Sample {
+// sorted returns the registered entries in name order.
+func (r *Registry) sorted() []metric {
 	r.mu.Lock()
 	entries := make([]metric, 0, len(r.metrics))
 	for _, m := range r.metrics {
-		if m.sample != nil {
-			entries = append(entries, m)
-		}
+		entries = append(entries, m)
 	}
 	r.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
+	return entries
+}
+
+// Samples reads every registered metric's current value as typed samples,
+// sorted by name; labelled families expand to one sample per child. It is
+// the registry's only read: Expose renders these samples as text,
+// ServeHTTP's JSON view encodes them as they are, and the in-process
+// time-series sampler stores them.
+func (r *Registry) Samples() []Sample {
 	var out []Sample
-	for _, m := range entries {
-		out = m.sample(out)
+	for _, m := range r.sorted() {
+		out = m.read(out)
 	}
 	return out
 }
@@ -204,31 +185,89 @@ func escapeHelp(s string) string {
 // preceded by its HELP and TYPE lines. The output is byte-stable for a
 // fixed metric state.
 func (r *Registry) Expose(w io.Writer) {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.metrics))
-	entries := make([]metric, 0, len(r.metrics))
-	for n := range r.metrics {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		entries = append(entries, r.metrics[n])
-	}
-	r.mu.Unlock()
-	for _, m := range entries {
+	for _, m := range r.sorted() {
 		fmt.Fprintf(w, "# HELP %s %s\n", m.name, escapeHelp(m.help))
 		fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.typ)
-		m.expose(w)
+		for _, s := range m.read(nil) {
+			switch {
+			case s.Hist != nil:
+				exposeHistogram(w, s.Name, s.Hist)
+			case m.whole:
+				// Whole counts are read as float64, exact below 2^53.
+				fmt.Fprintf(w, "%s %d\n", s.Name, uint64(s.Value))
+			default:
+				fmt.Fprintf(w, "%s %g\n", s.Name, s.Value)
+			}
+		}
 	}
 }
 
-// ServeHTTP makes the registry a GET /metrics handler in the text
-// exposition format.
+// exposeHistogram writes one histogram as cumulative _bucket lines plus
+// _sum and _count, the text exposition histogram convention. Once the
+// histogram has samples it also writes _min and _max gauges — the exact
+// extremes, which bucket bounds only bracket; they are omitted while empty
+// so an unexercised histogram never shows a misleading zero. Buckets that
+// carry an exemplar append it OpenMetrics-style (`# {request_id="..."}
+// value`), linking the bucket to the most recent request that landed in it.
+func exposeHistogram(w io.Writer, name string, s *HistogramSnapshot) {
+	var cum uint64
+	for i, n := range s.Counts {
+		cum += n
+		var exemplar string
+		if s.ExemplarIDs != nil && s.ExemplarIDs[i] != "" {
+			exemplar = fmt.Sprintf(" # {request_id=%q} %g", s.ExemplarIDs[i], s.ExemplarVals[i])
+		}
+		fmt.Fprintf(w, "%s_bucket{le=%q} %d%s\n", name, s.bucketLE(i), cum, exemplar)
+	}
+	fmt.Fprintf(w, "%s_sum %g\n", name, s.Sum)
+	fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
+	if s.Count > 0 {
+		fmt.Fprintf(w, "%s_min %g\n", name, s.Min)
+		fmt.Fprintf(w, "%s_max %g\n", name, s.Max)
+	}
+}
+
+// DecodeSamples reads the JSON view that ServeHTTP serves for
+// ?format=json. It refuses a histogram whose bucket, count, and exemplar
+// slices disagree in length, so Quantile, Sub, and Exemplars can index a
+// decoded snapshot without checking.
+func DecodeSamples(r io.Reader) ([]Sample, error) {
+	var samples []Sample
+	if err := json.NewDecoder(r).Decode(&samples); err != nil {
+		return nil, fmt.Errorf("telemetry: decoding samples: %w", err)
+	}
+	for _, s := range samples {
+		h := s.Hist
+		if h != nil && (len(h.Counts) != len(h.Bounds)+1 || len(h.ExemplarVals) != len(h.ExemplarIDs) ||
+			h.ExemplarIDs != nil && len(h.ExemplarIDs) != len(h.Counts)) {
+			return nil, fmt.Errorf("telemetry: histogram sample %q: bucket slices disagree in length", s.Name)
+		}
+	}
+	return samples, nil
+}
+
+// ServeHTTP makes the registry a GET /metrics handler: the text exposition
+// format by default (or ?format=text), and with ?format=json the same
+// Samples as a JSON array, for clients that want typed readings instead of
+// parsing text.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	r.Expose(w)
+	switch req.URL.Query().Get("format") {
+	case "", "text":
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		r.Expose(w)
+	case "json":
+		body, err := json.Marshal(r.Samples())
+		if err != nil { // a NaN or infinite gauge has no JSON form
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+	default:
+		http.Error(w, "format must be text or json", http.StatusBadRequest)
+	}
 }

@@ -1,8 +1,9 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -140,9 +141,9 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestRegistrySamples covers the structured sibling of Expose: typed,
-// name-sorted samples with labelled families expanded per child, histograms
-// carrying full snapshots, and opaque MustRegister collectors skipped.
+// TestRegistrySamples covers the registry's one read: typed, name-sorted
+// samples with labelled families expanded per child, info metrics as a
+// labelled constant gauge, and histograms carrying full snapshots.
 func TestRegistrySamples(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("zz_total", "")
@@ -158,11 +159,11 @@ func TestRegistrySamples(t *testing.T) {
 	h := r.Histogram("lat_seconds", "", 1, 2)
 	h.Observe(0.5)
 	h.Observe(3)
-	r.MustRegister("custom_info", "", TypeGauge, func(w io.Writer) { fmt.Fprint(w, "custom_info 1\n") })
+	r.Info("build_info", "", `version="v1"`)
 
 	got := r.Samples()
 	wantNames := []string{
-		"aa_gauge", "float_total", "fn_gauge", "lat_seconds",
+		"aa_gauge", `build_info{version="v1"}`, "float_total", "fn_gauge", "lat_seconds",
 		`req_total{path="/a"}`, `req_total{path="/b"}`, "zz_total",
 	}
 	if len(got) != len(wantNames) {
@@ -171,7 +172,7 @@ func TestRegistrySamples(t *testing.T) {
 	byName := map[string]Sample{}
 	for i, s := range got {
 		if s.Name != wantNames[i] {
-			t.Fatalf("sample %d = %q, want %q (sorted, custom skipped)", i, s.Name, wantNames[i])
+			t.Fatalf("sample %d = %q, want %q (sorted by metric name)", i, s.Name, wantNames[i])
 		}
 		byName[s.Name] = s
 	}
@@ -180,6 +181,9 @@ func TestRegistrySamples(t *testing.T) {
 	}
 	if s := byName["aa_gauge"]; s.Type != TypeGauge || s.Value != 1.5 {
 		t.Fatalf("gauge sample = %+v", s)
+	}
+	if s := byName[`build_info{version="v1"}`]; s.Type != TypeGauge || s.Value != 1 {
+		t.Fatalf("info sample = %+v", s)
 	}
 	if s := byName["fn_gauge"]; s.Value != 2.5 {
 		t.Fatalf("gauge-func sample = %+v", s)
@@ -196,5 +200,74 @@ func TestRegistrySamples(t *testing.T) {
 	}
 	if q := hs.Hist.Quantile(0.25); q != 0.5 {
 		t.Fatalf("histogram snapshot quantile = %g, want 0.5", q)
+	}
+}
+
+// TestMetricsJSONIsSamples pins the JSON view of GET /metrics: it decodes
+// to exactly what Samples returns — values, histogram bounds and counts,
+// and exemplars included — while the default and ?format=text requests
+// still get the text page, and an unknown format is refused.
+func TestMetricsJSONIsSamples(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("ops_total", "").Add(12345678)
+	r.FloatCounter("cycles_total", "").Add(2.5e9)
+	r.CounterVec("req_total", "").With(`path="/a",code="200"`).Inc()
+	r.Gauge("inflight", "").Set(-1.5)
+	r.Info("build_info", "", `version="v1"`)
+	r.Histogram("empty_seconds", "")
+	h := r.Histogram("lat_seconds", "", 0.001, 0.01)
+	h.Observe(0.0004)
+	h.ObserveExemplar(0.004, "req-1")
+	h.ObserveExemplar(3, "req-2")
+
+	get := func(query string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		r.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics"+query, nil))
+		return rec
+	}
+	rec := get("?format=json")
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("json view: %d %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	got, err := DecodeSamples(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := r.Samples(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("json view decodes to\n%+v\nwant Samples()\n%+v", got, want)
+	}
+	var lat *HistogramSnapshot
+	for _, s := range got {
+		if s.Name == "lat_seconds" {
+			lat = s.Hist
+		}
+	}
+	want := []BucketExemplar{{LE: "0.01", RequestID: "req-1", Value: 0.004}, {LE: "+Inf", RequestID: "req-2", Value: 3}}
+	if lat == nil || !reflect.DeepEqual(lat.Exemplars(), want) {
+		t.Fatalf("exemplars from the json view: %+v, want %+v", lat, want)
+	}
+
+	var page strings.Builder
+	r.Expose(&page)
+	for _, q := range []string{"", "?format=text"} {
+		if rec := get(q); rec.Code != http.StatusOK || rec.Body.String() != page.String() {
+			t.Fatalf("GET /metrics%s: %d, body differs from Expose:\n%s", q, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := get("?format=xml"); rec.Code != http.StatusBadRequest {
+		t.Fatalf("unknown format: status %d, want 400", rec.Code)
+	}
+
+	// A histogram whose slices disagree would make Quantile, Sub or
+	// Exemplars index out of range; DecodeSamples refuses it.
+	for _, body := range []string{
+		`[{"name":"h","type":"histogram","value":1,"hist":{"bounds":[1,2],"counts":[1]}}]`,
+		`[{"name":"h","type":"histogram","value":1,"hist":{"bounds":[1],"counts":[1,0],"exemplar_ids":["a",""]}}]`,
+		`[{"name":"h","type":"histogram","value":1,"hist":{"bounds":[1],"counts":[1,0],"exemplar_ids":["a"],"exemplar_vals":[1]}}]`,
+		`{"name":"not a list"}`,
+	} {
+		if _, err := DecodeSamples(strings.NewReader(body)); err == nil {
+			t.Errorf("DecodeSamples accepted %s", body)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/opstats"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/tsdb"
 )
@@ -143,7 +142,7 @@ func TestLatencyObjective(t *testing.T) {
 	now := time.Unix(1000, 0)
 	rec := func(fast, slow uint64) {
 		now = now.Add(time.Second)
-		h := opstats.HistogramSnapshot{
+		h := telemetry.HistogramSnapshot{
 			Bounds: []float64{0.01, 0.1},
 			Counts: []uint64{fast, slow, 0},
 			Count:  fast + slow,

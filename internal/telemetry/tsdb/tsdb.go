@@ -7,7 +7,7 @@
 // Counters are stored raw and differentiated on read; histograms retain
 // their full bucket snapshots so any window's p50/p90/p99 comes from
 // cumulative-bucket interpolation over a snapshot delta, the same
-// opstats.HistogramSnapshot.Quantile every other consumer uses. Series and
+// telemetry.HistogramSnapshot.Quantile every other consumer uses. Series and
 // point counts are hard-capped: the store is a crash-cart of recent history,
 // not a database.
 package tsdb
@@ -17,7 +17,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/opstats"
 	"repro/internal/telemetry"
 )
 
@@ -40,13 +39,13 @@ type series struct {
 	typ   telemetry.MetricType
 	times []int64
 	vals  []float64
-	hists []opstats.HistogramSnapshot
+	hists []telemetry.HistogramSnapshot
 	next  int
 	full  bool
 }
 
 // cap here is the ring bound (len(times) once full).
-func (s *series) push(bound int, t int64, v float64, h *opstats.HistogramSnapshot) {
+func (s *series) push(bound int, t int64, v float64, h *telemetry.HistogramSnapshot) {
 	if len(s.times) < bound {
 		s.times = append(s.times, t)
 		s.vals = append(s.vals, v)
@@ -300,20 +299,20 @@ func (db *DB) CounterDelta(prefix, contains string, window, now int64) (float64,
 // HistogramDelta returns the bucket-resolved distribution of everything a
 // histogram observed inside the window [now-window, now]. When the series
 // is younger than the window the delta is the cumulative snapshot.
-func (db *DB) HistogramDelta(name string, window, now int64) (opstats.HistogramSnapshot, bool) {
+func (db *DB) HistogramDelta(name string, window, now int64) (telemetry.HistogramSnapshot, bool) {
 	if db == nil {
-		return opstats.HistogramSnapshot{}, false
+		return telemetry.HistogramSnapshot{}, false
 	}
 	start := now - window
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	s, ok := db.series[name]
 	if !ok || s.typ != telemetry.TypeHistogram {
-		return opstats.HistogramSnapshot{}, false
+		return telemetry.HistogramSnapshot{}, false
 	}
 	idx := s.ordered()
 	if len(idx) == 0 {
-		return opstats.HistogramSnapshot{}, false
+		return telemetry.HistogramSnapshot{}, false
 	}
 	last := s.hists[idx[len(idx)-1]]
 	if b := s.baseline(idx, start); b >= 0 {

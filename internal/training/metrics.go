@@ -1,15 +1,10 @@
 package training
 
-import (
-	"io"
-
-	"repro/internal/opstats"
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // Registry is the training pipeline's central metric registry: every
 // brainy_train_* counter is registered once, with HELP/TYPE metadata, and
-// the whole family renders in one sorted pass (Expose).
+// the whole family renders in one sorted pass (Registry.Expose).
 var Registry = telemetry.NewRegistry()
 
 // PipelineMetrics aggregates throughput counters for the training pipeline
@@ -18,15 +13,15 @@ var Registry = telemetry.NewRegistry()
 // machine time has been burned, and how far Phase-II, validation, and model
 // fitting have progressed. All fields are safe for concurrent use.
 type PipelineMetrics struct {
-	SeedsScanned    *opstats.Counter      // Phase-I applications generated and simulated
-	LabelsFound     *opstats.Counter      // decisive (seed, best) pairs recorded
-	CyclesSimulated *opstats.FloatCounter // simulated machine cycles across all phases
-	EventsSimulated *opstats.Counter      // simulated machine events (memory ops, branches, allocator calls)
-	Phase2Examples  *opstats.Counter      // labelled feature vectors produced
-	Phase2Dropped   *opstats.Counter      // Phase-II examples dropped (winner outside candidates)
-	ModelsTrained   *opstats.Counter      // ANNs fitted
-	TargetsResumed  *opstats.Counter      // targets skipped entirely via checkpoint resume
-	ValidationApps  *opstats.Counter      // validation applications simulated
+	SeedsScanned    *telemetry.Counter      // Phase-I applications generated and simulated
+	LabelsFound     *telemetry.Counter      // decisive (seed, best) pairs recorded
+	CyclesSimulated *telemetry.FloatCounter // simulated machine cycles across all phases
+	EventsSimulated *telemetry.Counter      // simulated machine events (memory ops, branches, allocator calls)
+	Phase2Examples  *telemetry.Counter      // labelled feature vectors produced
+	Phase2Dropped   *telemetry.Counter      // Phase-II examples dropped (winner outside candidates)
+	ModelsTrained   *telemetry.Counter      // ANNs fitted
+	TargetsResumed  *telemetry.Counter      // targets skipped entirely via checkpoint resume
+	ValidationApps  *telemetry.Counter      // validation applications simulated
 }
 
 // Metrics is the package-wide pipeline instrumentation, incremented by
@@ -41,10 +36,4 @@ var Metrics = PipelineMetrics{
 	ModelsTrained:   Registry.Counter("brainy_train_models_trained_total", "ANNs fitted."),
 	TargetsResumed:  Registry.Counter("brainy_train_targets_resumed_total", "Targets skipped entirely via checkpoint resume."),
 	ValidationApps:  Registry.Counter("brainy_train_validation_apps_total", "Validation applications simulated."),
-}
-
-// Expose writes every counter, with HELP and TYPE metadata, in the
-// Prometheus text exposition format under the brainy_train_* namespace.
-func (m *PipelineMetrics) Expose(w io.Writer) {
-	Registry.Expose(w)
 }
