@@ -203,17 +203,25 @@ func mixGlyph(c DashboardWindow) byte {
 // no timestamps or addresses, so a fixed ingestion sequence renders
 // byte-identically — the golden-test contract.
 func renderDashboardText(d DashboardResponse) string {
+	return "brainy windowed profiling\n" +
+		fmt.Sprintf("instances %d/%d  windows %d  drift-events %d  drift-skipped %d  out-of-order %d\n\n",
+			d.Instances, d.MaxInstances, d.Windows, d.DriftEvents, d.DriftSkipped, d.OutOfOrder) +
+		DashboardTable(d.Rows)
+}
+
+// DashboardTable renders the instance table of the text dashboard, which
+// brainy-top draws under its own title and counter lines: a column header,
+// one line per row in the order given, and the glyph legends — or, with no
+// rows, the one-line empty state.
+func DashboardTable(rows []DashboardRow) string {
 	var b strings.Builder
-	b.WriteString("brainy windowed profiling\n")
-	fmt.Fprintf(&b, "instances %d/%d  windows %d  drift-events %d  drift-skipped %d  out-of-order %d\n\n",
-		d.Instances, d.MaxInstances, d.Windows, d.DriftEvents, d.DriftSkipped, d.OutOfOrder)
-	if len(d.Rows) == 0 {
+	if len(rows) == 0 {
 		b.WriteString("no instance timelines yet: POST snapshot windows to /v1/profiles\n")
 		return b.String()
 	}
 	fmt.Fprintf(&b, "%-32s %-9s %6s %8s  %-22s %5s %6s  %-22s %s\n",
 		"INSTANCE", "KIND", "WIN", "OPS", "ADVICE", "CONF", "DRIFT", "TIMELINE", "TREND")
-	for _, row := range d.Rows {
+	for _, row := range rows {
 		advice := "-"
 		conf := "    -"
 		if row.Advised {
