@@ -181,6 +181,32 @@ func TestProfilesValidation(t *testing.T) {
 	}
 }
 
+// TestProfilesBodyAndRecordCaps is TestAdviseRejections' cap precedence
+// on the ingest path: a body past the byte cap whose first MaxProfiles+1
+// windows fit under it answers the record bound's 400, and a window cut by
+// the byte cap answers 413.
+func TestProfilesBodyAndRecordCaps(t *testing.T) {
+	s := rulesServer(Config{MaxBodyBytes: 512, MaxProfiles: 1})
+	url, _ := startServer(t, s)
+	window := `{"context":"caps/site","kind":0,"instance":0,"window_seq":0,"window_end_op":4}` + "\n"
+	post := func(body string) (int, string) {
+		resp, err := http.Post(url+"/v1/profiles?arch=Core2", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	if code, msg := post(strings.Repeat(window, 20)); code != http.StatusBadRequest || !strings.Contains(msg, "batch exceeds 1 records") {
+		t.Fatalf("windows past both caps: %d %s, want 400 batch exceeds", code, msg)
+	}
+	huge := `{"context":"` + strings.Repeat("a", 1024) + `"}`
+	if code, msg := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("window cut by the byte cap: %d %s, want 413", code, msg)
+	}
+}
+
 // TestTimelineLRUBound: the instance store caps memory by evicting the
 // least recently touched timeline, and the eviction is visible in metrics
 // and absent from the dashboard. Shards is pinned to 1 so the global bound

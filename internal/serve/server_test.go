@@ -261,8 +261,21 @@ func TestAdviseRejections(t *testing.T) {
 	if code := post(`{"context":"a"}` + "\n" + `{"context":"b"}`); code != http.StatusBadRequest {
 		t.Fatalf("too many records: %d, want 400", code)
 	}
+	// A body past the byte cap whose first MaxProfiles+1 records fit under
+	// it: the record bound answers first, as when the decoder stops at the
+	// extra record without reading on.
+	resp, err := http.Post(ts.URL+"/v1/advise", "application/json",
+		strings.NewReader(strings.Repeat(`{"context":"a"}`+"\n", 40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "trace exceeds 1 records") {
+		t.Fatalf("records past both caps: %d %s, want 400 trace exceeds", resp.StatusCode, msg)
+	}
 	// Wrong method.
-	resp, err := http.Get(ts.URL + "/v1/advise")
+	resp, err = http.Get(ts.URL + "/v1/advise")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +318,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	go func() { served <- s.Serve(ctx, ln) }()
 	url := "http://" + ln.Addr().String()
 
-	// Open a request whose body arrives slowly: the handler blocks in the
-	// streaming decoder while we shut the server down around it.
+	// Open a request whose body arrives slowly: the handler blocks reading
+	// the body while we shut the server down around it.
 	pr, pw := io.Pipe()
 	type result struct {
 		resp *http.Response
