@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -26,12 +28,12 @@ type AdviseResponse struct {
 	Plan        []core.PlanEntry  `json:"plan"`
 }
 
-// errTooManyProfiles aborts the streaming decoder when a trace exceeds the
-// configured record bound.
+// errTooManyProfiles aborts the decode when a trace exceeds the configured
+// record bound.
 var errTooManyProfiles = errors.New("too many profile records")
 
-// handleAdvise runs the full advisor pipeline for one request: stream-decode
-// the trace (JSON lines or a JSON array), take an inference slot, analyze
+// handleAdvise runs the full advisor pipeline for one request: decode the
+// trace (JSON lines or a JSON array), take an inference slot, analyze
 // under the request deadline with the cache-wrapped suggester, and answer
 // with the prioritized plan.
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
@@ -53,6 +55,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	err := profile.DecodeRecords(body, func(p *profile.Profile) error {
 		if len(profiles) >= s.cfg.MaxProfiles {
 			return errTooManyProfiles
+		}
+		if err := checkFinite("profile", len(profiles), p); err != nil {
+			return err
 		}
 		profiles = append(profiles, *p)
 		return nil
@@ -113,7 +118,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			resp.Suggestions[i].Explanation = nil
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, &resp, appendAdvise)
 }
 
 // analyze is the sharded, batched equivalent of core.AnalyzeContext: cache
@@ -199,6 +204,19 @@ func (s *Server) analyze(ctx context.Context, profiles []profile.Profile, arch, 
 	return rep, nil
 }
 
+// checkFinite refuses record n when its feature vector holds a NaN or an
+// infinity (a negative "cycles" makes cycles_per_call the log of a negative
+// number). Such a vector would reach the inference cache, the flight ring,
+// the rollup means and a timeline, and no reply could carry its confidence.
+func checkFinite(what string, n int, p *profile.Profile) error {
+	for i, f := range p.Vector() {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("%s %d (context %q): feature %s is not finite", what, n, p.Context, profile.FeatureNames[i])
+		}
+	}
+	return nil
+}
+
 // isMaxBytesError reports whether err came from http.MaxBytesReader.
 func isMaxBytesError(err error) bool {
 	var mbe *http.MaxBytesError
@@ -221,11 +239,19 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-// writeJSON renders one JSON response.
+// writeJSON renders one JSON response. It encodes before writing the
+// header, so a value encoding/json refuses (a NaN, say) answers 500 with
+// the error envelope instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		_ = enc.Encode(map[string]string{"error": "encoding response: " + err.Error()}) // a string map always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes()) // the client is gone; nothing is left to tell it
 }

@@ -21,8 +21,8 @@ type ProfilesResponse struct {
 	Drift      []drift.Event `json:"drift"`     // events confirmed by this batch
 }
 
-// errTooManyWindows aborts the streaming decoder when a batch exceeds the
-// record bound (shared with /v1/advise).
+// errTooManyWindows aborts the decode when a batch exceeds the record bound
+// (shared with /v1/advise).
 var errTooManyWindows = errors.New("too many window records")
 
 // handleProfiles ingests a snapshot-window stream (profile.SnapshotExporter
@@ -51,6 +51,9 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	err := profile.DecodeWindows(body, func(rec *profile.WindowRecord) error {
 		if resp.Accepted >= s.cfg.MaxProfiles {
 			return errTooManyWindows
+		}
+		if err := checkFinite("window", resp.Accepted, &rec.Profile); err != nil {
+			return err
 		}
 		// The instance key routes the window to the shard owning its
 		// timeline and drift state; everything below touches only that
@@ -106,5 +109,5 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	s.metrics.TimelineInstances.Set(float64(resp.Instances))
 	span.SetInt("windows", int64(resp.Accepted))
 	span.SetInt("drift_events", int64(len(resp.Drift)))
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, &resp, appendProfiles)
 }
