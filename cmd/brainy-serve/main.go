@@ -79,7 +79,6 @@ func run() error {
 		maxProfiles = flag.Int("max-profiles", 10000, "advise trace record limit")
 		shards      = flag.Int("shards", 0, "advisor shards owning cache/timeline/drift state and one batch queue each (0 = GOMAXPROCS)")
 		batch       = flag.Int("batch", 32, "max queued inferences coalesced into one ANN matrix pass per shard")
-		batchLinger = flag.Duration("batch-linger", 500*time.Microsecond, "how long a lone queued inference waits for batch-mates (negative = flush immediately)")
 		logRequests = flag.Bool("log-requests", true, "emit one structured log line per request (disable for load tests)")
 		cacheSize   = flag.Int("cache", 4096, "inference cache entries (negative disables)")
 		grace       = flag.Duration("grace", 10*time.Second, "shutdown drain budget")
@@ -157,7 +156,6 @@ func run() error {
 		RequestTimeout:  *timeout,
 		Shards:          *shards,
 		BatchSize:       *batch,
-		BatchLinger:     *batchLinger,
 		NoRequestLog:    !*logRequests,
 		CacheSize:       *cacheSize,
 		ShutdownGrace:   *grace,

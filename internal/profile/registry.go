@@ -78,8 +78,8 @@ func (r *Registry) Contexts() []string {
 }
 
 // Snapshot merges every container registered at one context into a single
-// profile: software features add up, and cycles accumulate across
-// instances. It returns an error for unknown contexts.
+// profile: software features and hardware counters add up, and cycles
+// accumulate across instances. It returns an error for unknown contexts.
 func (r *Registry) Snapshot(context string) (Profile, error) {
 	cs := r.containers[context]
 	if len(cs) == 0 {
@@ -90,18 +90,7 @@ func (r *Registry) Snapshot(context string) (Profile, error) {
 		p := c.Snapshot()
 		merged.Stats.Add(p.Stats)
 		merged.Cycles += p.Cycles
-		merged.HW.Cycles += p.HW.Cycles
-		merged.HW.Reads += p.HW.Reads
-		merged.HW.Writes += p.HW.Writes
-		merged.HW.L1Accesses += p.HW.L1Accesses
-		merged.HW.L1Misses += p.HW.L1Misses
-		merged.HW.L2Accesses += p.HW.L2Accesses
-		merged.HW.L2Misses += p.HW.L2Misses
-		merged.HW.Branches += p.HW.Branches
-		merged.HW.Mispredicts += p.HW.Mispredicts
-		merged.HW.Allocs += p.HW.Allocs
-		merged.HW.Frees += p.HW.Frees
-		merged.HW.BytesAlloced += p.HW.BytesAlloced
+		merged.HW = merged.HW.Add(p.HW)
 	}
 	return merged, nil
 }

@@ -12,11 +12,13 @@ func TestRegistryMergesPerContext(t *testing.T) {
 	m := machine.New(machine.Core2())
 	reg := NewRegistry(m)
 	// Three containers at one site (e.g. one per request), one elsewhere.
+	var site []*Container
 	for i := 0; i < 3; i++ {
 		c := reg.NewContainer(adt.KindList, 8, "server/handler.queue", true)
 		for j := uint64(0); j < 10; j++ {
 			c.Insert(j)
 		}
+		site = append(site, c)
 	}
 	other := reg.NewContainer(adt.KindSet, 8, "server/router.table", false)
 	other.Insert(1)
@@ -33,6 +35,14 @@ func TestRegistryMergesPerContext(t *testing.T) {
 	}
 	if p.Kind != adt.KindList || !p.OrderAware {
 		t.Fatalf("merged metadata wrong: %+v", p)
+	}
+	// Every hardware counter, TLB included, is the sum over the instances.
+	var hw machine.Counters
+	for _, c := range site {
+		hw = hw.Add(c.Snapshot().HW)
+	}
+	if p.HW != hw {
+		t.Fatalf("merged counters = %+v, want the instances' sum %+v", p.HW, hw)
 	}
 	if _, err := reg.Snapshot("nope"); err == nil {
 		t.Fatal("unknown context accepted")

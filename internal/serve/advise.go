@@ -52,14 +52,17 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var profiles []profile.Profile
+	var vecs [][]float64 // vecs[i] is profiles[i].Vector(), built once
 	err := profile.DecodeRecords(body, func(p *profile.Profile) error {
 		if len(profiles) >= s.cfg.MaxProfiles {
 			return errTooManyProfiles
 		}
-		if err := checkFinite("profile", len(profiles), p); err != nil {
+		vec, err := checkFinite("profile", len(profiles), p)
+		if err != nil {
 			return err
 		}
 		profiles = append(profiles, *p)
+		vecs = append(vecs, vec)
 		return nil
 	})
 	switch {
@@ -85,7 +88,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	span.SetStr("arch", arch)
 	span.SetInt("profiles", int64(len(profiles)))
 	span.SetStr("request_id", RequestIDFromContext(ctx))
-	report, err := s.analyze(ctx, profiles, arch, RequestIDFromContext(ctx))
+	report, err := s.analyze(ctx, profiles, vecs, arch, RequestIDFromContext(ctx))
 	span.End()
 	if err != nil {
 		if errors.Is(err, shard.ErrClosed) {
@@ -128,8 +131,8 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 // shard deduplicates within a batch, reuses the shared cache, and evaluates
 // through core.SuggestBatch — bit-identical to Suggest — the response
 // matches what the sequential CLI computes for the same trace, suggestion
-// order and all.
-func (s *Server) analyze(ctx context.Context, profiles []profile.Profile, arch, reqID string) (core.Report, error) {
+// order and all. vecs[i] is the feature vector of profiles[i].
+func (s *Server) analyze(ctx context.Context, profiles []profile.Profile, vecs [][]float64, arch, reqID string) (core.Report, error) {
 	rep := core.Report{Arch: arch}
 	if err := ctx.Err(); err != nil {
 		return rep, err
@@ -148,19 +151,19 @@ func (s *Server) analyze(ctx context.Context, profiles []profile.Profile, arch, 
 	var wg sync.WaitGroup
 	var slots []*inferSlot
 	for i := range profiles {
-		p := &profiles[i]
-		key := inferenceKey(p, arch)
+		p, vec := &profiles[i], vecs[i]
+		key := inferenceKey(p, vec, arch)
 		sh := s.shardForKey(key)
 		shs[i] = sh
 		if sug, ok := sh.cache.Get(key); ok {
 			s.metrics.CacheHits.Inc()
 			sug.Context = p.Context
 			sugs[i] = sug
-			sh.recordAdvise(p, arch, key, sug, nil, reqID, "cache", 0, 0, 0)
+			sh.recordAdvise(p, vec, arch, key, sug, nil, reqID, "cache", 0, 0, 0)
 			continue
 		}
 		s.metrics.CacheMisses.Inc()
-		slot := &inferSlot{p: p, arch: arch, key: key, idx: i, reqID: reqID, start: time.Now(), wg: &wg}
+		slot := &inferSlot{p: p, vec: vec, arch: arch, key: key, idx: i, reqID: reqID, start: time.Now(), wg: &wg}
 		wg.Add(1)
 		if err := sh.batcher.Submit(ctx, slot); err != nil {
 			wg.Done()
@@ -196,7 +199,7 @@ func (s *Server) analyze(ctx context.Context, profiles []profile.Profile, arch, 
 		sug := sugs[i]
 		sug.CyclesPct = profiles[i].Cycles / total
 		rep.Suggestions = append(rep.Suggestions, sug)
-		shs[i].rollup.countAdvise(&profiles[i], sug.Suggested)
+		shs[i].rollup.countAdvise(&profiles[i], vecs[i], sug.Suggested)
 	}
 	sort.SliceStable(rep.Suggestions, func(i, j int) bool {
 		return rep.Suggestions[i].CyclesPct > rep.Suggestions[j].CyclesPct
@@ -204,17 +207,20 @@ func (s *Server) analyze(ctx context.Context, profiles []profile.Profile, arch, 
 	return rep, nil
 }
 
-// checkFinite refuses record n when its feature vector holds a NaN or an
-// infinity (a negative "cycles" makes cycles_per_call the log of a negative
-// number). Such a vector would reach the inference cache, the flight ring,
-// the rollup means and a timeline, and no reply could carry its confidence.
-func checkFinite(what string, n int, p *profile.Profile) error {
-	for i, f := range p.Vector() {
+// checkFinite builds record n's feature vector and refuses the record when
+// the vector holds a NaN or an infinity (a negative "cycles" makes
+// cycles_per_call the log of a negative number). Such a vector would reach
+// the inference cache, the flight ring, the rollup means and a timeline,
+// and no reply could carry its confidence. Callers keep the vector it
+// returns, so each record's vector is built once.
+func checkFinite(what string, n int, p *profile.Profile) ([]float64, error) {
+	vec := p.Vector()
+	for i, f := range vec {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("%s %d (context %q): feature %s is not finite", what, n, p.Context, profile.FeatureNames[i])
+			return nil, fmt.Errorf("%s %d (context %q): feature %s is not finite", what, n, p.Context, profile.FeatureNames[i])
 		}
 	}
-	return nil
+	return vec, nil
 }
 
 // isMaxBytesError reports whether err came from http.MaxBytesReader.

@@ -18,8 +18,9 @@ import (
 // per-request report fields, not model inputs.
 type cacheKey [sha256.Size]byte
 
-// inferenceKey derives the cache key for one (profile, arch) inference.
-func inferenceKey(p *profile.Profile, arch string) cacheKey {
+// inferenceKey derives the cache key for one (profile, arch) inference;
+// vec is p.Vector().
+func inferenceKey(p *profile.Profile, vec []float64, arch string) cacheKey {
 	h := sha256.New()
 	var scratch [8]byte
 	writeU64 := func(v uint64) {
@@ -38,7 +39,7 @@ func inferenceKey(p *profile.Profile, arch string) cacheKey {
 	// vector only sees them log-compressed), so key on the exact values.
 	writeU64(p.Stats.MaxLen)
 	writeU64(p.Stats.ElemSize)
-	for _, f := range p.Vector() {
+	for _, f := range vec {
 		writeU64(math.Float64bits(f))
 	}
 	var k cacheKey

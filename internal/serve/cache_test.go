@@ -25,30 +25,30 @@ func TestInferenceKeyIgnoresRequestFields(t *testing.T) {
 	p := vectorProfile("site-a", 100)
 	q := p
 	q.Context = "site-b" // calling context is a report field, not a model input
-	if inferenceKey(&p, "Core2") != inferenceKey(&q, "Core2") {
+	if inferenceKey(&p, p.Vector(), "Core2") != inferenceKey(&q, q.Vector(), "Core2") {
 		t.Fatal("context changed the inference key")
 	}
 }
 
 func TestInferenceKeyDiscriminates(t *testing.T) {
 	p := vectorProfile("site", 100)
-	base := inferenceKey(&p, "Core2")
-	if inferenceKey(&p, "Atom") == base {
+	base := inferenceKey(&p, p.Vector(), "Core2")
+	if inferenceKey(&p, p.Vector(), "Atom") == base {
 		t.Fatal("arch not part of the key")
 	}
 	q := p
 	q.Kind = adt.KindList
-	if inferenceKey(&q, "Core2") == base {
+	if inferenceKey(&q, q.Vector(), "Core2") == base {
 		t.Fatal("kind not part of the key")
 	}
 	r := p
 	r.OrderAware = true
-	if inferenceKey(&r, "Core2") == base {
+	if inferenceKey(&r, r.Vector(), "Core2") == base {
 		t.Fatal("order-awareness not part of the key")
 	}
 	s := p
 	s.Stats.Count[0]++ // perturb the feature vector
-	if inferenceKey(&s, "Core2") == base {
+	if inferenceKey(&s, s.Vector(), "Core2") == base {
 		t.Fatal("feature vector not part of the key")
 	}
 }
@@ -56,7 +56,7 @@ func TestInferenceKeyDiscriminates(t *testing.T) {
 func TestLRUEvictsOldest(t *testing.T) {
 	c := newLRUCache(2)
 	p1, p2, p3 := vectorProfile("a", 10), vectorProfile("b", 20), vectorProfile("c", 30)
-	k1, k2, k3 := inferenceKey(&p1, "Core2"), inferenceKey(&p2, "Core2"), inferenceKey(&p3, "Core2")
+	k1, k2, k3 := inferenceKey(&p1, p1.Vector(), "Core2"), inferenceKey(&p2, p2.Vector(), "Core2"), inferenceKey(&p3, p3.Vector(), "Core2")
 	c.Put(k1, core.Suggestion{Confidence: 0.1})
 	c.Put(k2, core.Suggestion{Confidence: 0.2})
 	if _, ok := c.Get(k1); !ok { // refresh k1: k2 becomes LRU
@@ -80,7 +80,7 @@ func TestLRUEvictsOldest(t *testing.T) {
 func TestLRUPutRefreshesExisting(t *testing.T) {
 	c := newLRUCache(4)
 	p := vectorProfile("a", 10)
-	k := inferenceKey(&p, "Core2")
+	k := inferenceKey(&p, p.Vector(), "Core2")
 	c.Put(k, core.Suggestion{Confidence: 0.5})
 	c.Put(k, core.Suggestion{Confidence: 0.9})
 	if c.Len() != 1 {
@@ -94,7 +94,7 @@ func TestLRUPutRefreshesExisting(t *testing.T) {
 func TestLRUDisabled(t *testing.T) {
 	c := newLRUCache(-1)
 	p := vectorProfile("a", 10)
-	k := inferenceKey(&p, "Core2")
+	k := inferenceKey(&p, p.Vector(), "Core2")
 	c.Put(k, core.Suggestion{})
 	if _, ok := c.Get(k); ok || c.Len() != 0 {
 		t.Fatal("disabled cache stored an entry")

@@ -135,6 +135,7 @@ func TestWireAllocBudget(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			got = min(got, testing.AllocsPerRun(runs, serve))
 		}
+		t.Logf("%s: %v allocations per request, budget %v", tc.name, got, tc.budget)
 		if got > tc.budget {
 			t.Errorf("%s: %v allocations per request, budget %v", tc.name, got, tc.budget)
 		}

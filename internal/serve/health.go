@@ -39,8 +39,9 @@ func (s *Server) defaultObjectives() []slo.Objective {
 			Threshold: s.cfg.AdviseP99Max.Seconds(),
 		},
 		{
-			// Queue-depth readings at 80%+ of fleet capacity mean lingering
-			// is no longer a latency optimization but a backlog.
+			// Queue-depth readings at 80%+ of fleet capacity mean misses
+			// arrive faster than the shards' matrix passes run them: a
+			// backlog, not batching.
 			Name:        "batch-queue-saturation",
 			Kind:        slo.Saturation,
 			Target:      0.9,

@@ -52,7 +52,8 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		if resp.Accepted >= s.cfg.MaxProfiles {
 			return errTooManyWindows
 		}
-		if err := checkFinite("window", resp.Accepted, &rec.Profile); err != nil {
+		vec, err := checkFinite("window", resp.Accepted, &rec.Profile)
+		if err != nil {
 			return err
 		}
 		// The instance key routes the window to the shard owning its
@@ -60,7 +61,7 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		// shard (plus shared atomic counters).
 		sh := s.shardForInstance(rec.InstanceKey())
 		out := sh.timelines.add(rec, s.touchSeq.Add(1))
-		sh.rollup.ingestWindow(rec, out)
+		sh.rollup.ingestWindow(rec, vec, out)
 		if out.outOfOrder {
 			resp.OutOfOrder++
 			s.metrics.WindowsOutOfOrder.Inc()
@@ -82,7 +83,7 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 			resp.Drift = append(resp.Drift, *ev)
 			s.metrics.DriftEvents.Inc()
 			sh.rollup.countDrift(rec.Kind)
-			sh.recordDrift(ev, rec)
+			sh.recordDrift(ev, vec)
 			s.log.Info("phase drift", "instance", ev.InstanceKey,
 				"from", ev.From.String(), "to", ev.To.String(),
 				"window", ev.Seq, "confidence", ev.Confidence)

@@ -567,9 +567,10 @@ func TestRecordAdviseDisabledZeroAlloc(t *testing.T) {
 	}
 	p := vectorProfile("alloc", 100)
 	sug := core.Suggestion{Context: "alloc"}
+	vec := p.Vector()
 	var key cacheKey
 	allocs := testing.AllocsPerRun(1000, func() {
-		sh.recordAdvise(&p, "Core2", key, sug, nil, "req", "batch", 1, 4, time.Millisecond)
+		sh.recordAdvise(&p, vec, "Core2", key, sug, nil, "req", "batch", 1, 4, time.Millisecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled recordAdvise allocates %g per call, want 0", allocs)

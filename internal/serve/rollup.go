@@ -56,8 +56,8 @@ func (rs *rollupState) kind(k adt.Kind) *kindRollup {
 // fleet total reconciles exactly with client-side counts. The profile's
 // feature vector joins the kind's running mean — the baseline brainy-explain
 // diffs a single decision against — so advise-only fleets get a mean too.
-func (rs *rollupState) countAdvise(p *profile.Profile, suggested adt.Kind) {
-	vec := p.Vector()
+// vec is p.Vector().
+func (rs *rollupState) countAdvise(p *profile.Profile, vec []float64, suggested adt.Kind) {
 	rs.mu.Lock()
 	kr := rs.kind(p.Kind)
 	kr.advise++
@@ -76,14 +76,13 @@ func (rs *rollupState) countAdvise(p *profile.Profile, suggested adt.Kind) {
 // using the timeline store's outcome to keep instance counts and observed
 // migrations exact: creations and kind changes move instances between
 // kinds, evictions remove them, and a kind change is one migration charged
-// to the kind the instance left.
-func (rs *rollupState) ingestWindow(w *profile.WindowRecord, out addOutcome) {
+// to the kind the instance left. vec is w.Vector().
+func (rs *rollupState) ingestWindow(w *profile.WindowRecord, vec []float64, out addOutcome) {
 	rs.mu.Lock()
 	kr := rs.kind(w.Kind)
 	kr.windows++
 	kr.ops += w.Ops()
 	kr.hw = kr.hw.Add(w.HW)
-	vec := w.Vector()
 	if kr.featSum == nil {
 		kr.featSum = make([]float64, len(vec))
 	}

@@ -57,12 +57,9 @@ type Config struct {
 	// Default: GOMAXPROCS.
 	Shards int
 	// BatchSize caps how many queued inferences one shard coalesces into a
-	// single ANN matrix pass (default 32).
+	// single ANN matrix pass (default 32). A shard never waits for
+	// batch-mates: each pass takes whatever is queued when it starts.
 	BatchSize int
-	// BatchLinger is how long a lone queued inference waits for batch-mates
-	// before flushing anyway; the latency cost of coalescing (default
-	// 500µs, negative flushes immediately).
-	BatchLinger time.Duration
 	// NoRequestLog disables the per-request structured log line. The
 	// lifecycle and drift logs remain. Under load-test rates the log
 	// serializes every request on the slog handler's mutex, which is
@@ -159,12 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.BatchLinger == 0 {
-		c.BatchLinger = 500 * time.Microsecond
-	}
-	if c.BatchLinger < 0 {
-		c.BatchLinger = 0
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
@@ -326,7 +317,6 @@ func New(models *training.ModelSet, cfg Config) *Server {
 		})
 		sh.batcher = shard.NewBatcher[*inferSlot](shard.BatcherConfig{
 			MaxBatch: cfg.BatchSize,
-			Linger:   cfg.BatchLinger,
 			Queue:    4 * cfg.BatchSize,
 			OnQueue:  func(d int) { m.ShardQueueDepth.Add(float64(d)) },
 			OnFlush:  func(n int) { m.BatchSize.Observe(float64(n)) },
@@ -409,12 +399,11 @@ func (s *Server) Handler() http.Handler {
 	return s.observe(mux)
 }
 
-// Serve accepts connections on ln until ctx is cancelled, then drains: the
-// shard batchers flip to flush-immediately mode (queued inferences run
-// without lingering for batch-mates), in-flight requests get up to
-// ShutdownGrace to finish, and the batching goroutines stop only after
-// running everything their queues accepted — an accepted request never
-// loses its inference to shutdown. It returns nil on a clean drain.
+// Serve accepts connections on ln until ctx is cancelled, then drains:
+// /v1/health turns to draining, in-flight requests get up to ShutdownGrace
+// to finish, and the batching goroutines stop only after running
+// everything their queues accepted — an accepted request never loses its
+// inference to shutdown. It returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{
 		Handler:           s.Handler(),
@@ -438,9 +427,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 			time.Sleep(s.cfg.DrainDelay)
 		}
 		s.log.Info("shutting down", "grace", s.cfg.ShutdownGrace.String())
-		for _, sh := range s.shards {
-			sh.batcher.Drain()
-		}
 		drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
 		defer cancel()
 		err := hs.Shutdown(drainCtx)

@@ -337,6 +337,17 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if _, err := pw.Write(body[:half]); err != nil {
 		t.Fatal(err)
 	}
+	// The write returns once the client has taken the bytes, while the
+	// connection may still wait in the listener's backlog, where closing
+	// the listener would reset it. The middleware counts a request only
+	// once its handler runs, so wait for that.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Metrics().InFlight.Value() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the in-flight request never reached its handler")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	cancel() // begin the drain with the request mid-flight
 	time.Sleep(50 * time.Millisecond)
 	if _, err := pw.Write(body[half:]); err != nil {

@@ -10,79 +10,51 @@
 // The Batcher is the other half of the architecture: instead of bounding
 // concurrent ANN evaluations with a global semaphore (which serializes
 // misses exactly where the work is heaviest), each shard runs one batching
-// goroutine that coalesces queued inferences — up to a bounded batch size,
-// waiting at most a linger interval for batch-mates — into a single matrix
-// pass through the network.
+// goroutine that coalesces whatever inferences are queued, up to a bounded
+// batch size, into a single matrix pass through the network. It never
+// waits for batch-mates: items that arrive while a batch runs form the
+// next one, so batches grow with load and a lone item runs at once.
 package shard
 
 import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 )
 
 // ErrClosed is returned by Submit after Close has begun: the caller should
 // fail its request rather than retry, because the owning loop is exiting.
 var ErrClosed = errors.New("shard: batcher closed")
 
-// fnv64 constants (FNV-1a).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// HashString returns the FNV-1a 64-bit hash of s, inlined to keep the
-// per-request routing cost to a few nanoseconds with zero allocations.
-func HashString(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// HashBytes is HashString for byte slices (cache keys are raw digests).
-func HashBytes(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// Pick maps a string key onto one of n shards.
-func Pick(n int, key string) int {
+// Pick maps a key onto one of n shards by its FNV-1a 64-bit hash, inlined
+// to keep the per-request routing cost to a few nanoseconds with zero
+// allocations. A key routes the same as a string and as bytes.
+func Pick[K string | []byte](n int, key K) int {
 	if n <= 1 {
 		return 0
 	}
-	return int(HashString(key) % uint64(n))
-}
-
-// PickBytes maps a byte key (e.g. a SHA-256 inference key) onto one of n
-// shards.
-func PickBytes(n int, key []byte) int {
-	if n <= 1 {
-		return 0
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
 	}
-	return int(HashBytes(key) % uint64(n))
+	return int(h % uint64(n))
 }
 
-// BatcherConfig tunes one Batcher. MaxBatch and Queue must be positive;
-// Linger may be zero (flush as fast as the loop can drain the queue).
+// BatcherConfig tunes one Batcher. MaxBatch and Queue must be positive.
 type BatcherConfig struct {
 	// MaxBatch bounds the number of items coalesced into one run call.
 	MaxBatch int
-	// Linger bounds how long the first item of a batch waits for
-	// batch-mates before a partial batch flushes.
-	Linger time.Duration
 	// Queue is the submission buffer capacity; Submit blocks (up to its
 	// context) when the queue is full — closed-loop backpressure.
 	Queue int
 	// OnQueue, when non-nil, observes queue-depth changes: +1 per accepted
-	// submission, -1 per item moved into a batch. Wire it to a gauge.
+	// submission, minus the batch size per batch taken from the queue.
+	// Wire it to a gauge.
 	OnQueue func(delta int)
 	// OnFlush, when non-nil, observes the size of every flushed batch.
 	// Wire it to a histogram.
@@ -98,11 +70,9 @@ type Batcher[T any] struct {
 	cfg BatcherConfig
 	run func([]T)
 
-	ch    chan T
-	drain chan struct{}
-	done  chan struct{}
+	ch   chan T
+	done chan struct{}
 
-	drainOnce sync.Once
 	closeOnce sync.Once
 
 	// mu guards the closed flag against the Submit/Close race: Close takes
@@ -121,11 +91,10 @@ func NewBatcher[T any](cfg BatcherConfig, run func([]T)) *Batcher[T] {
 		cfg.Queue = cfg.MaxBatch
 	}
 	b := &Batcher[T]{
-		cfg:   cfg,
-		run:   run,
-		ch:    make(chan T, cfg.Queue),
-		drain: make(chan struct{}),
-		done:  make(chan struct{}),
+		cfg:  cfg,
+		run:  run,
+		ch:   make(chan T, cfg.Queue),
+		done: make(chan struct{}),
 	}
 	go b.loop()
 	return b
@@ -154,19 +123,10 @@ func (b *Batcher[T]) Submit(ctx context.Context, item T) error {
 	}
 }
 
-// Drain switches the batcher to immediate flushing: queued items are
-// batched without waiting out the linger interval. Submissions remain
-// accepted; call it when shutdown begins so in-flight requests complete as
-// fast as the evaluator allows.
-func (b *Batcher[T]) Drain() {
-	b.drainOnce.Do(func() { close(b.drain) })
-}
-
-// Close drains and stops the batcher: every item already accepted is still
-// batched and run, then the loop exits. Safe to call more than once.
-// Submissions racing with Close get ErrClosed instead of a lost item.
+// Close stops the batcher: every item already accepted is still batched
+// and run, then the loop exits. Safe to call more than once. Submissions
+// racing with Close get ErrClosed instead of a lost item.
 func (b *Batcher[T]) Close() {
-	b.Drain()
 	b.closeOnce.Do(func() {
 		b.mu.Lock()
 		b.closed = true
@@ -182,79 +142,23 @@ func (b *Batcher[T]) queued(delta int) {
 	}
 }
 
-func (b *Batcher[T]) draining() bool {
-	select {
-	case <-b.drain:
-		return true
-	default:
-		return false
-	}
-}
-
-// loop is the owning goroutine: block for the first item, collect
-// batch-mates until the batch is full / the linger expires / the queue goes
-// momentarily idle under drain, then run the batch. A closed channel
-// delivers its remaining buffered items before reporting closed, so Close
-// loses nothing.
+// loop is the owning goroutine: block for the first item, add whatever is
+// already queued up to MaxBatch, then run the batch. The loop is the
+// channel's only receiver, so the len(b.ch) items it counts are there to
+// take. A closed channel delivers its remaining buffered items before
+// reporting closed, so Close loses nothing.
 func (b *Batcher[T]) loop() {
 	defer close(b.done)
 	batch := make([]T, 0, b.cfg.MaxBatch)
-	timer := time.NewTimer(time.Hour)
-	stopTimer(timer)
-	for {
-		first, ok := <-b.ch
-		if !ok {
-			return
-		}
-		b.queued(-1)
+	for first := range b.ch {
 		batch = append(batch[:0], first)
-		if !b.draining() && b.cfg.Linger > 0 {
-			timer.Reset(b.cfg.Linger)
+		for n := min(len(b.ch), b.cfg.MaxBatch-1); n > 0; n-- {
+			batch = append(batch, <-b.ch)
 		}
-	collect:
-		for len(batch) < b.cfg.MaxBatch {
-			if b.draining() || b.cfg.Linger <= 0 {
-				select {
-				case it, ok := <-b.ch:
-					if !ok {
-						break collect
-					}
-					b.queued(-1)
-					batch = append(batch, it)
-				default:
-					break collect
-				}
-				continue
-			}
-			select {
-			case it, ok := <-b.ch:
-				if !ok {
-					break collect
-				}
-				b.queued(-1)
-				batch = append(batch, it)
-			case <-timer.C:
-				break collect
-			case <-b.drain:
-				// Switched to drain mode mid-collect: fall through to the
-				// non-blocking branch on the next iteration.
-			}
-		}
-		stopTimer(timer)
+		b.queued(-len(batch))
 		if b.cfg.OnFlush != nil {
 			b.cfg.OnFlush(len(batch))
 		}
 		b.run(batch)
-	}
-}
-
-// stopTimer stops t and drains a concurrently fired tick, leaving t safe to
-// Reset (the pre-1.23 timer contract).
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 // the result must still be byte-identical to core.Analyze, order included.
 func TestShardedAdviseMatchesCLIPlan(t *testing.T) {
 	models := testModels()
-	s := New(models, quietConfig(Config{Shards: 4, BatchSize: 3, BatchLinger: 100 * time.Microsecond}))
+	s := New(models, quietConfig(Config{Shards: 4, BatchSize: 3}))
 	url, _ := startServer(t, s)
 
 	var profiles []profile.Profile
@@ -49,7 +49,7 @@ func TestShardedAdviseMatchesCLIPlan(t *testing.T) {
 // in CI: it exists to prove the per-shard ownership story has no cross-shard
 // data races.
 func TestShardedConcurrentStress(t *testing.T) {
-	s := rulesServer(Config{Shards: 4, BatchSize: 4, BatchLinger: 100 * time.Microsecond, CacheSize: 64})
+	s := rulesServer(Config{Shards: 4, BatchSize: 4, CacheSize: 64})
 	url, _ := startServer(t, s)
 
 	hot := traceBody(t, []profile.Profile{vectorProfile("stress/hot", 120)})
@@ -120,18 +120,16 @@ func TestShardedConcurrentStress(t *testing.T) {
 }
 
 // TestDrainFlushesBatchQueues is the zero-loss shutdown contract: requests
-// whose inferences sit queued behind a long batch linger when SIGTERM
-// arrives must still complete — the drain flips every shard batcher to
-// flush-immediately and only stops it after the queue ran dry. No accepted
-// request is lost, and Serve reports a clean drain.
+// racing SIGTERM, their inferences queued on or running in their shard
+// batchers, must still complete — the drain stops each batcher only after
+// it ran everything its queue accepted. No accepted request is lost, and
+// Serve reports a clean drain.
 func TestDrainFlushesBatchQueues(t *testing.T) {
-	// A minute-long linger and a batch bound far above the request count
-	// guarantee the queued inferences are still pending when the drain
-	// starts — only the drain itself can flush them.
+	// A batch bound far above the request count: whatever is queued when
+	// the drain begins runs in one pass.
 	s := New(testModels(), quietConfig(Config{
 		Shards:        2,
 		BatchSize:     64,
-		BatchLinger:   time.Minute,
 		ShutdownGrace: 10 * time.Second,
 	}))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

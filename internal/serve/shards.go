@@ -22,9 +22,9 @@ import (
 // mutex; nothing on either hot path takes a lock owned by another shard.
 //
 // The batcher is the shard's single evaluation goroutine: advise cache
-// misses queue here and are coalesced (bounded batch size, bounded linger)
-// into one matrix pass through the ANN — concurrency across shards,
-// batching within one.
+// misses queue here, and each pass takes whatever is queued (up to the
+// batch size) through the ANN as one matrix pass — concurrency across
+// shards, batching within one.
 type advisorShard struct {
 	srv       *Server
 	id        int
@@ -47,6 +47,7 @@ type advisorShard struct {
 // in request order regardless of batching.
 type inferSlot struct {
 	p    *profile.Profile
+	vec  []float64 // p.Vector()
 	arch string
 	key  cacheKey
 	idx  int
@@ -64,7 +65,7 @@ type inferSlot struct {
 
 // shardForKey routes an inference key to its owning shard.
 func (s *Server) shardForKey(k cacheKey) *advisorShard {
-	return s.shards[shard.PickBytes(len(s.shards), k[:])]
+	return s.shards[shard.Pick(len(s.shards), k[:])]
 }
 
 // shardForInstance routes an instance key ("context#instance") to its
@@ -73,11 +74,12 @@ func (s *Server) shardForInstance(key string) *advisorShard {
 	return s.shards[shard.Pick(len(s.shards), key)]
 }
 
-// recordAdvise journals one advise verdict into the shard's flight ring.
-// A nil err is verdict "ok"; otherwise "no-model" (the only way Suggest
-// fails). With recording disabled (nil ring) this is one branch and no
-// allocation — the zero-cost contract the AllocsPerRun test pins.
-func (sh *advisorShard) recordAdvise(p *profile.Profile, arch string, key cacheKey, sug core.Suggestion, err error, reqID, path string, batchID uint64, batchSize int, lat time.Duration) {
+// recordAdvise journals one advise verdict into the shard's flight ring;
+// vec is p.Vector(). A nil err is verdict "ok"; otherwise "no-model" (the
+// only way Suggest fails). With recording disabled (nil ring) this is one
+// branch and no allocation — the zero-cost contract the AllocsPerRun test
+// pins.
+func (sh *advisorShard) recordAdvise(p *profile.Profile, vec []float64, arch string, key cacheKey, sug core.Suggestion, err error, reqID, path string, batchID uint64, batchSize int, lat time.Duration) {
 	if sh.flight == nil {
 		return
 	}
@@ -96,7 +98,7 @@ func (sh *advisorShard) recordAdvise(p *profile.Profile, arch string, key cacheK
 		Registry:  sh.srv.fingerprint,
 		Drift:     sh.srv.driftStateFor(p.Context),
 		LatencyNs: lat.Nanoseconds(),
-		Features:  p.Vector(),
+		Features:  vec,
 	}
 	if err != nil {
 		rec.Verdict = "no-model"
@@ -114,8 +116,9 @@ func (sh *advisorShard) recordAdvise(p *profile.Profile, arch string, key cacheK
 }
 
 // recordDrift journals one confirmed phase-drift event, so the journal
-// interleaves advice and the divergences that later overturn it.
-func (sh *advisorShard) recordDrift(ev *drift.Event, rec *profile.WindowRecord) {
+// interleaves advice and the divergences that later overturn it. vec is
+// the confirming window's feature vector.
+func (sh *advisorShard) recordDrift(ev *drift.Event, vec []float64) {
 	if sh.flight == nil {
 		return
 	}
@@ -131,7 +134,7 @@ func (sh *advisorShard) recordDrift(ev *drift.Event, rec *profile.WindowRecord) 
 		Registry:   sh.srv.fingerprint,
 		WindowSeq:  ev.Seq,
 		Votes:      ev.Votes,
-		Features:   rec.Vector(),
+		Features:   vec,
 	})
 }
 
@@ -223,7 +226,7 @@ func (sh *advisorShard) runBatch(items []*inferSlot) {
 	// /debug/decisions (the round-trip brainy-explain depends on).
 	if sh.flight != nil {
 		for _, it := range items {
-			sh.recordAdvise(it.p, it.arch, it.key, it.sug, it.err, it.reqID, "batch",
+			sh.recordAdvise(it.p, it.vec, it.arch, it.key, it.sug, it.err, it.reqID, "batch",
 				batchID, len(items), time.Since(it.start))
 		}
 	}
@@ -242,7 +245,7 @@ func (sh *advisorShard) runBatch(items []*inferSlot) {
 // shard's lock on the ingest hot path.
 func (sh *advisorShard) cachingSuggester() core.Suggester {
 	return func(p *profile.Profile, arch string) (core.Suggestion, error) {
-		key := inferenceKey(p, arch)
+		key := inferenceKey(p, p.Vector(), arch)
 		if sug, ok := sh.cache.Get(key); ok {
 			sh.srv.metrics.CacheHits.Inc()
 			sug.Context = p.Context
