@@ -28,9 +28,10 @@ lint:
 race:
 	$(GO) test -race -short ./internal/serve/... ./internal/training/... ./internal/machine/... ./internal/appgen/... ./internal/mem/... ./internal/telemetry/... ./internal/containers/adaptive/... ./internal/loadgen/...
 
-# A 10-second probe per fuzz target. The profile decoders' inputs are
-# records of hundreds of bytes, and Go's minimizer is quadratic in input
-# length, so their probes cap minimizing at 100 calls instead of 60 s.
+# A 10-second probe per fuzz target. Go's minimizer is quadratic in input
+# length, so the probes whose inputs run long cap minimizing at 100 calls
+# instead of 60 s: the profile decoders' records of hundreds of bytes, and
+# the /v1/timeseries queries, each call a full pass through the handler.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDequeOps -fuzztime=10s ./internal/containers/deque
 	$(GO) test -run='^$$' -fuzz=FuzzTableOps -fuzztime=10s ./internal/containers/hashtable
@@ -39,6 +40,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecords -fuzztime=10s -fuzzminimizetime=100x ./internal/profile
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWindows -fuzztime=10s -fuzzminimizetime=100x ./internal/profile
 	$(GO) test -run='^$$' -fuzz=FuzzReplyMatchesEncoder -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzTimeseriesQuery -fuzztime=10s -fuzzminimizetime=100x ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzAdaptiveMigration -fuzztime=10s ./internal/containers/adaptive
 	$(GO) test -run='^$$' -fuzz=FuzzFlatBTree -fuzztime=10s ./internal/containers/flatbtree
 	$(GO) test -run='^$$' -fuzz=FuzzFlatHash -fuzztime=10s ./internal/containers/flathash

@@ -16,7 +16,9 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/core"
+	"repro/internal/hysteresis"
 	"repro/internal/profile"
+	"repro/internal/ring"
 )
 
 // Config tunes a Detector. The zero value is usable: defaults fill in at
@@ -95,19 +97,16 @@ type Status struct {
 // Drifted reports whether the advice ever moved off its initial value.
 func (s Status) Drifted() bool { return s.Events > 0 }
 
-// instState is the per-timeline sliding window and hysteresis machine.
+// instState is the per-timeline sliding window and hysteresis gate.
 type instState struct {
-	recent  []profile.WindowRecord // ring of the last Config.Window records
-	next    int
+	recent  ring.Ring[profile.WindowRecord] // the last Config.Window records
 	windows int
 	ops     uint64
 
 	advised    bool
 	initial    adt.Kind
-	current    adt.Kind
+	advice     hysteresis.Gate[adt.Kind] // current advice and the streak against it
 	confidence float64
-	pending    adt.Kind
-	streak     int
 	events     int
 
 	context  string
@@ -148,18 +147,12 @@ func (d *Detector) Observe(rec *profile.WindowRecord, arch string) (*Event, erro
 	st := d.inst[key]
 	if st == nil {
 		st = &instState{
-			recent:   make([]profile.WindowRecord, 0, d.cfg.Window),
+			recent:   ring.New[profile.WindowRecord](d.cfg.Window),
 			context:  rec.Context,
 			instance: rec.Instance,
 			kind:     rec.Kind,
 		}
 		d.inst[key] = st
-	}
-	if len(st.recent) < cap(st.recent) {
-		st.recent = append(st.recent, *rec)
-	} else {
-		st.recent[st.next] = *rec
-		st.next = (st.next + 1) % cap(st.recent)
 	}
 	if rec.Kind != st.kind {
 		// The instance's backend changed mid-timeline. Either we asked for
@@ -168,19 +161,17 @@ func (d *Detector) Observe(rec *profile.WindowRecord, arch string) (*Event, erro
 		// describes a container that no longer exists, so restart the blend
 		// from this window and clear any in-flight streak. When the new kind
 		// matches current advice this is the migration completing — not a
-		// new divergence — so the state machine settles instead of firing.
-		st.recent = st.recent[:0]
-		st.recent = append(st.recent, *rec)
-		st.next = 0
-		st.streak = 0
-		st.pending = rec.Kind
-		if st.advised && rec.Kind != st.current {
-			// Unsolicited swap: re-baseline advice on reality so the next
-			// divergence is measured from the backend actually running.
-			st.current = rec.Kind
+		// new divergence — so the gate settles instead of firing. Otherwise
+		// the swap was unsolicited: re-baseline advice on reality so the
+		// next divergence is measured from the backend actually running.
+		st.recent.Clear()
+		st.advice.Streak = 0
+		if st.advised {
+			st.advice.Current = rec.Kind
 		}
 		st.kind = rec.Kind
 	}
+	st.recent.Push(*rec)
 	st.windows++
 	st.ops += rec.Ops()
 
@@ -192,31 +183,21 @@ func (d *Detector) Observe(rec *profile.WindowRecord, arch string) (*Event, erro
 	if err != nil {
 		return nil, fmt.Errorf("drift: advising %s: %w", key, err)
 	}
+	st.confidence = sug.Confidence
 	if !st.advised {
 		st.advised = true
 		st.initial = sug.Suggested
-		st.current = sug.Suggested
-		st.confidence = sug.Confidence
+		st.advice.Current = sug.Suggested
 		if !d.cfg.BaselineActual {
 			return nil, nil
 		}
 		// Baseline on the running backend: a first advice that already
 		// disagrees with the instance's actual kind is a divergence to
-		// confirm through the streak below, not a silent baseline.
-		st.current = st.kind
+		// confirm through the gate below, not a silent baseline.
+		st.advice.Current = st.kind
 	}
-	st.confidence = sug.Confidence
-	if sug.Suggested == st.current {
-		st.streak = 0
-		return nil, nil
-	}
-	if sug.Suggested == st.pending {
-		st.streak++
-	} else {
-		st.pending = sug.Suggested
-		st.streak = 1
-	}
-	if st.streak < d.cfg.Hysteresis {
+	from := st.advice.Current
+	if !st.advice.Propose(sug.Suggested, d.cfg.Hysteresis) {
 		return nil, nil
 	}
 	ev := Event{
@@ -224,13 +205,11 @@ func (d *Detector) Observe(rec *profile.WindowRecord, arch string) (*Event, erro
 		Context:     st.context,
 		Instance:    st.instance,
 		Seq:         rec.Seq,
-		From:        st.current,
-		To:          st.pending,
+		From:        from,
+		To:          sug.Suggested,
 		Confidence:  sug.Confidence,
-		Votes:       st.streak,
+		Votes:       d.cfg.Hysteresis,
 	}
-	st.current = st.pending
-	st.streak = 0
 	st.events++
 	if d.cfg.OnEvent != nil {
 		d.cfg.OnEvent(ev)
@@ -242,13 +221,10 @@ func (d *Detector) Observe(rec *profile.WindowRecord, arch string) (*Event, erro
 // and hardware features accumulate across the blend, identity and state
 // fields come from the newest window.
 func (st *instState) blend() profile.Profile {
-	newest := st.recent[(st.next+len(st.recent)-1)%len(st.recent)]
-	out := newest.Profile
-	for i := range st.recent {
-		if i == (st.next+len(st.recent)-1)%len(st.recent) {
-			continue
-		}
-		w := &st.recent[i]
+	n := st.recent.Len()
+	out := st.recent.At(n - 1).Profile
+	for i := range n - 1 {
+		w := st.recent.At(i)
 		out.Stats.Add(w.Stats)
 		out.HW = out.HW.Add(w.HW)
 		out.Cycles += w.Cycles
@@ -300,9 +276,9 @@ func (st *instState) status(key string) Status {
 		Windows:     st.windows,
 		Ops:         st.ops,
 		Initial:     st.initial,
-		Current:     st.current,
+		Current:     st.advice.Current,
 		Confidence:  st.confidence,
-		Streak:      st.streak,
+		Streak:      st.advice.Streak,
 		Events:      st.events,
 		Advised:     st.advised,
 	}

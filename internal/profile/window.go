@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/opstats"
+	"repro/internal/ring"
 )
 
 // WindowRecord is one snapshot window: the software-feature and
@@ -175,10 +176,8 @@ func (c *Container) closeWindow() {
 // windows — the in-process retention tier. A full ring overwrites its
 // oldest record, so memory stays capped no matter how long the run.
 type WindowRing struct {
-	mu    sync.Mutex
-	buf   []WindowRecord
-	next  int
-	total uint64
+	mu   sync.Mutex
+	recs ring.Ring[WindowRecord]
 }
 
 // NewWindowRing builds a ring holding at most capacity windows.
@@ -186,19 +185,13 @@ func NewWindowRing(capacity int) *WindowRing {
 	if capacity < 1 {
 		panic(fmt.Sprintf("profile: window ring capacity %d < 1", capacity))
 	}
-	return &WindowRing{buf: make([]WindowRecord, 0, capacity)}
+	return &WindowRing{recs: ring.New[WindowRecord](capacity)}
 }
 
 // EmitWindow implements WindowSink.
 func (r *WindowRing) EmitWindow(w *WindowRecord) {
 	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, *w)
-	} else {
-		r.buf[r.next] = *w
-		r.next = (r.next + 1) % cap(r.buf)
-	}
-	r.total++
+	r.recs.Push(*w)
 	r.mu.Unlock()
 }
 
@@ -206,10 +199,7 @@ func (r *WindowRing) EmitWindow(w *WindowRecord) {
 func (r *WindowRing) Records() []WindowRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]WindowRecord, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
+	return r.recs.Items()
 }
 
 // Total returns how many windows were emitted over the ring's lifetime,
@@ -217,7 +207,7 @@ func (r *WindowRing) Records() []WindowRecord {
 func (r *WindowRing) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.recs.Total()
 }
 
 // SnapshotExporter streams windows as JSON lines, the repository's

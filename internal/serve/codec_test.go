@@ -59,8 +59,37 @@ func TestNonFiniteFeaturesRejected(t *testing.T) {
 	if dec.Returned != 1 || dec.Records[0].Context != "ok/site" {
 		t.Fatalf("journal holds %d records: %+v", dec.Returned, dec.Records)
 	}
-	if s.timelineCount() != 0 {
-		t.Fatalf("refused window left %d timelines", s.timelineCount())
+	if got := s.Metrics().TimelineInstances.Value(); got != 0 {
+		t.Fatalf("refused window left %v timelines", got)
+	}
+}
+
+// TestRefusedBatchCountsItsTimeline: a batch refused part-way keeps the
+// windows before the refusal, so the timeline its first window opened
+// stays, and the instance gauge, the rollup and the store all count it.
+func TestRefusedBatchCountsItsTimeline(t *testing.T) {
+	s := rulesServer(Config{Shards: 2})
+	url, _ := startServer(t, s)
+
+	good := profile.WindowRecord{Profile: vectorProfile("refused/site", 40), EndOp: 10}
+	bad := good
+	bad.Seq, bad.StartOp, bad.EndOp = 1, 10, 20
+	bad.Cycles = -1000000
+	var body bytes.Buffer
+	if err := profile.WriteWindows(&body, []profile.WindowRecord{good, bad}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ := postProfiles(t, url, body.Bytes()); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("batch with a negative-cycles window: status %d, want 400", resp.StatusCode)
+	}
+	retained := 0
+	for _, sh := range s.shards {
+		retained += len(sh.timelines.views())
+	}
+	var roll RollupResponse
+	getJSON(t, url+"/v1/rollup", &roll)
+	if gauge := s.Metrics().TimelineInstances.Value(); gauge != 1 || roll.Instances != 1 || retained != 1 {
+		t.Fatalf("instances: gauge %v, rollup %d, retained %d; want 1 each", gauge, roll.Instances, retained)
 	}
 }
 

@@ -16,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // KindProb is one entry of a recorded class distribution. Kinds are stored
@@ -75,27 +77,20 @@ type Record struct {
 // methods are safe for concurrent use and on a nil *Ring (no-ops), so a
 // disabled recorder is just a nil pointer.
 type Ring struct {
-	seq  *atomic.Uint64
-	size int // immutable bound, readable without the lock
+	seq *atomic.Uint64
 
-	mu    sync.Mutex
-	buf   []Record
-	next  int
-	full  bool
-	total uint64
+	mu   sync.Mutex
+	recs ring.Ring[Record]
 }
 
 // NewRing builds a ring holding at most size records. seq orders appends;
 // pass one shared counter to every ring whose snapshots will be merged, or
 // nil to give this ring a private counter.
 func NewRing(size int, seq *atomic.Uint64) *Ring {
-	if size < 1 {
-		size = 1
-	}
 	if seq == nil {
 		seq = new(atomic.Uint64)
 	}
-	return &Ring{seq: seq, size: size, buf: make([]Record, 0, size)}
+	return &Ring{seq: seq, recs: ring.New[Record](max(size, 1))}
 }
 
 // Append journals one record, stamping Seq and UnixNano, and returns the
@@ -107,14 +102,7 @@ func (r *Ring) Append(rec Record) uint64 {
 	rec.Seq = r.seq.Add(1)
 	rec.UnixNano = time.Now().UnixNano()
 	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, rec)
-	} else {
-		r.buf[r.next] = rec
-		r.next = (r.next + 1) % cap(r.buf)
-		r.full = true
-	}
-	r.total++
+	r.recs.Push(rec)
 	r.mu.Unlock()
 	return rec.Seq
 }
@@ -126,14 +114,7 @@ func (r *Ring) Snapshot() []Record {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Record, 0, len(r.buf))
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
-	}
-	return out
+	return r.recs.Items()
 }
 
 // Total reports how many records were ever appended, including ones the
@@ -144,13 +125,13 @@ func (r *Ring) Total() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.recs.Total()
 }
 
-// Cap reports the ring's bound.
+// Cap reports the ring's bound, which never changes, so it needs no lock.
 func (r *Ring) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return r.size
+	return r.recs.Cap()
 }

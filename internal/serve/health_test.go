@@ -23,7 +23,7 @@ import (
 // with a fake-clocked one over the same registry, so tests control scrape
 // cadence and timestamps exactly. step advances the clock one second and
 // scrapes (which re-evaluates the SLOs, as in production).
-func observedServer(t *testing.T, sloCfg slo.Config) (*Server, *httptest.Server, func()) {
+func observedServer(t testing.TB, sloCfg slo.Config) (*Server, *httptest.Server, func()) {
 	t.Helper()
 	s := New(testModels(), quietConfig(Config{SampleInterval: time.Hour}))
 	t.Cleanup(s.Close)
@@ -251,6 +251,53 @@ func TestTimeseriesEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad since: %d, want 400", resp.StatusCode)
 	}
+}
+
+// FuzzTimeseriesQuery drives /v1/timeseries with arbitrary series lists and
+// since values against a store holding counter, gauge and histogram series:
+// nothing panics, and every answer is a 400 or a 200 whose body decodes as
+// a TimeseriesResponse.
+func FuzzTimeseriesQuery(f *testing.F) {
+	s, _, step := observedServer(f, slo.Config{})
+	for i := 0; i < 4; i++ {
+		s.requestCounter("/v1/advise", 200).Add(uint64(i))
+		s.metrics.AdviseLatency.Observe(0.001 * float64(1+i*i))
+		s.metrics.InFlight.Set(float64(i))
+		step()
+	}
+	h := s.Handler()
+	for _, series := range []string{
+		"",
+		`brainy_requests_total{path="/v1/advise",code="200"}`,
+		`brainy_requests_total{path="/v1/advise",code="200"}:rate`,
+		"brainy_inflight_requests:rate",
+		"brainy_advise_duration_seconds:p50",
+		"brainy_advise_duration_seconds:p90,brainy_advise_duration_seconds:p99",
+		`brainy_requests_total{path="/v1/advise",code="200"},brainy_advise_duration_seconds:p99`,
+		"brainy_advise_duration_seconds:p42",
+		"brainy_inflight_requests:p99",
+		"brainy_advise_duration_seconds:rate:rate",
+		":", ":p50", ",", "{,}", "{", "}}",
+	} {
+		for _, since := range []string{"", "30s", "-5s", "2000-01-01T00:00:00Z", "1000000", "-1", "garbage"} {
+			f.Add(series, since)
+		}
+	}
+	f.Fuzz(func(t *testing.T, series, since string) {
+		q := url.Values{"series": {series}, "since": {since}}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/timeseries?"+q.Encode(), nil))
+		switch rec.Code {
+		case http.StatusOK:
+			var out TimeseriesResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+				t.Fatalf("200 body does not decode: %v\n%s", err, rec.Body)
+			}
+		case http.StatusBadRequest:
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	})
 }
 
 // TestHealthDisabled checks the negative-interval escape hatch: /v1/health

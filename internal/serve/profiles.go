@@ -62,11 +62,15 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		sh := s.shardForInstance(rec.InstanceKey())
 		out := sh.timelines.add(rec, s.touchSeq.Add(1))
 		sh.rollup.ingestWindow(rec, vec, out)
+		if out.isNew {
+			s.metrics.TimelineInstances.Inc()
+		}
 		if out.outOfOrder {
 			resp.OutOfOrder++
 			s.metrics.WindowsOutOfOrder.Inc()
 		}
 		if out.evicted {
+			s.metrics.TimelineInstances.Dec()
 			s.metrics.TimelineEvictions.Inc()
 			sh.drifts.Forget(out.evictedKey)
 		}
@@ -106,8 +110,7 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty stream: send JSON-lines or a JSON array of window records")
 		return
 	}
-	resp.Instances = s.timelineCount()
-	s.metrics.TimelineInstances.Set(float64(resp.Instances))
+	resp.Instances = int(s.metrics.TimelineInstances.Value())
 	span.SetInt("windows", int64(resp.Accepted))
 	span.SetInt("drift_events", int64(len(resp.Drift)))
 	writeReply(w, &resp, appendProfiles)

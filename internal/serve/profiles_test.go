@@ -223,8 +223,8 @@ func TestTimelineLRUBound(t *testing.T) {
 			t.Fatalf("instance %s: status = %d", inst, resp.StatusCode)
 		}
 	}
-	if got := s.timelineCount(); got != 2 {
-		t.Fatalf("retained timelines = %d, want 2", got)
+	if got := s.Metrics().TimelineInstances.Value(); got != 2 {
+		t.Fatalf("retained timelines = %v, want 2", got)
 	}
 	if got := s.Metrics().TimelineEvictions.Value(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)

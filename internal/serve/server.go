@@ -108,17 +108,17 @@ type Config struct {
 	// (1s); negative disables self-observation entirely (/v1/health then
 	// reports liveness only and /v1/timeseries is empty).
 	SampleInterval time.Duration
-	// SamplePoints bounds each retained series' point ring (default 360 —
-	// six minutes of history at the default interval).
+	// SamplePoints bounds each retained series' point ring; zero uses the
+	// tsdb default.
 	SamplePoints int
 	// AdviseP99Max is the latency SLO threshold: /v1/advise responses
 	// slower than this burn the advise-p99 error budget (default 250ms).
 	AdviseP99Max time.Duration
-	// SLOFastWindow and SLOSlowWindow are the burn-rate windows (defaults
-	// 1m/5m); SLODegradedBurn and SLOCriticalBurn the thresholds (1/10);
-	// SLOHysteresis the confirmation streak before a health verdict flips
-	// (2). The small values exist for CI, which compresses the whole
-	// degrade-and-recover cycle into seconds.
+	// SLOFastWindow and SLOSlowWindow are the burn-rate windows,
+	// SLODegradedBurn and SLOCriticalBurn the thresholds, and
+	// SLOHysteresis the confirmation streak before a health verdict flips;
+	// zero uses the slo default. The small values exist for CI, which
+	// compresses the whole degrade-and-recover cycle into seconds.
 	SLOFastWindow   time.Duration
 	SLOSlowWindow   time.Duration
 	SLODegradedBurn float64
@@ -178,26 +178,8 @@ func (c Config) withDefaults() Config {
 	if c.SampleInterval == 0 {
 		c.SampleInterval = time.Second
 	}
-	if c.SamplePoints <= 0 {
-		c.SamplePoints = 360
-	}
 	if c.AdviseP99Max <= 0 {
 		c.AdviseP99Max = 250 * time.Millisecond
-	}
-	if c.SLOFastWindow <= 0 {
-		c.SLOFastWindow = time.Minute
-	}
-	if c.SLOSlowWindow <= 0 {
-		c.SLOSlowWindow = 5 * time.Minute
-	}
-	if c.SLODegradedBurn <= 0 {
-		c.SLODegradedBurn = 1
-	}
-	if c.SLOCriticalBurn <= 0 {
-		c.SLOCriticalBurn = 10
-	}
-	if c.SLOHysteresis <= 0 {
-		c.SLOHysteresis = 2
 	}
 	return c
 }

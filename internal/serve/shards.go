@@ -265,15 +265,6 @@ func (sh *advisorShard) cachingSuggester() core.Suggester {
 	}
 }
 
-// timelineCount sums retained timelines across shards.
-func (s *Server) timelineCount() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.timelines.len()
-	}
-	return n
-}
-
 // ceilDiv divides a bound across shards, rounding up so N shards never
 // retain less than the configured total.
 func ceilDiv(total, parts int) int {

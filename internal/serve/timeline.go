@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/profile"
+	"repro/internal/ring"
 )
 
 // timeline is everything the server retains about one container instance:
@@ -30,12 +31,12 @@ type timeline struct {
 	// most-recently-active order.
 	touch uint64
 
-	recent *profile.WindowRing
+	recent ring.Ring[profile.WindowRecord] // guarded by the store's lock
 }
 
 // timelineStore is the bounded per-instance window retention behind
-// /v1/profiles: an LRU over instance keys, each holding a fixed-size ring
-// of recent windows. All methods are safe for concurrent use.
+// /v1/profiles: an LRU over instance keys, each holding a bounded ring of
+// recent windows. All methods are safe for concurrent use.
 type timelineStore struct {
 	mu          sync.Mutex
 	maxInst     int
@@ -86,7 +87,7 @@ func (s *timelineStore) add(w *profile.WindowRecord, touch uint64) addOutcome {
 			instance: w.Instance,
 			kind:     w.Kind,
 			lastSeq:  -1,
-			recent:   profile.NewWindowRing(s.ringSize),
+			recent:   ring.New[profile.WindowRecord](s.ringSize),
 		}
 		el = s.order.PushFront(tl)
 		s.items[key] = el
@@ -121,7 +122,7 @@ func (s *timelineStore) add(w *profile.WindowRecord, touch uint64) addOutcome {
 	tl.windows++
 	tl.ops += w.Ops()
 	tl.kind = w.Kind
-	tl.recent.EmitWindow(w)
+	tl.recent.Push(*w)
 	s.totalWin++
 	return out
 }
@@ -156,15 +157,8 @@ func (s *timelineStore) views() []timelineView {
 			Ops:        tl.ops,
 			OutOfOrder: tl.outOfOrder,
 			Touch:      tl.touch,
-			Recent:     tl.recent.Records(),
+			Recent:     tl.recent.Items(),
 		})
 	}
 	return out
-}
-
-// len returns the number of retained timelines.
-func (s *timelineStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.items)
 }

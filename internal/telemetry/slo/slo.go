@@ -8,11 +8,13 @@
 // slow window that it is not a blip), and a proposed verdict must then
 // repeat for a hysteresis streak before the reported state flips.
 //
-// That two-stage gate is deliberately the same shape as drift.Detector: the
-// advisor already refuses to re-plan a container off one divergent window,
-// and the serving tier deserves the same discipline before declaring itself
-// degraded — flapping health is worse than late health, for load balancers
-// and operators alike.
+// The second stage is the hysteresis.Gate that drift.Detector also uses:
+// the advisor already refuses to re-plan a container off one divergent
+// window, and the serving tier deserves the same discipline before
+// declaring itself degraded — flapping health is worse than late health,
+// for load balancers and operators alike. The window reads stay here:
+// drift blends profile windows, while an objective reads burn rates from
+// the time-series store and counts an empty window as recovery.
 package slo
 
 import (
@@ -20,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/hysteresis"
 	"repro/internal/telemetry/tsdb"
 )
 
@@ -96,7 +99,7 @@ type Config struct {
 	CriticalBurn float64
 	// Hysteresis (default 2) is how many consecutive evaluations must
 	// propose the same new state before the reported state flips — the
-	// drift.Detector streak, applied to the server's own health.
+	// drift.Detector gate, applied to the server's own health.
 	Hysteresis int
 }
 
@@ -132,7 +135,7 @@ type ObjectiveStatus struct {
 	// Reason is non-empty whenever the state is not ok: which burn
 	// thresholds tripped, with the measured rates.
 	Reason string `json:"reason,omitempty"`
-	// Pending/Streak expose the hysteresis state machine mid-flip.
+	// Pending/Streak expose the hysteresis gate mid-flip.
 	Pending State `json:"pending,omitempty"`
 	Streak  int   `json:"streak,omitempty"`
 }
@@ -146,14 +149,6 @@ type Health struct {
 	SlowWindow  float64           `json:"slow_window_seconds"`
 }
 
-// objState is the per-objective hysteresis state, the drift.Detector
-// pending/streak pair.
-type objState struct {
-	reported State
-	pending  State
-	streak   int
-}
-
 // Evaluator judges a set of objectives against one store. Evaluate is
 // driven by the sampler's OnSample hook so verdict cadence equals scrape
 // cadence; readers take the last computed Health. A nil *Evaluator reports
@@ -163,21 +158,21 @@ type Evaluator struct {
 	cfg  Config
 	objs []Objective
 
-	mu     sync.Mutex
-	states []objState
-	last   Health
-	evals  uint64
+	mu    sync.Mutex
+	gates []hysteresis.Gate[State] // per objective: the reported state
+	last  Health
+	evals uint64
 }
 
 // New builds an evaluator over db. Objectives are evaluated in the given
 // order on every call to Evaluate.
 func New(db *tsdb.DB, objs []Objective, cfg Config) *Evaluator {
 	cfg = cfg.withDefaults()
-	states := make([]objState, len(objs))
-	for i := range states {
-		states[i] = objState{reported: StateOK}
+	gates := make([]hysteresis.Gate[State], len(objs))
+	for i := range gates {
+		gates[i].Current = StateOK
 	}
-	return &Evaluator{db: db, cfg: cfg, objs: objs, states: states,
+	return &Evaluator{db: db, cfg: cfg, objs: objs, gates: gates,
 		last: Health{State: StateOK, FastWindow: cfg.FastWindow.Seconds(), SlowWindow: cfg.SlowWindow.Seconds()}}
 }
 
@@ -217,8 +212,8 @@ func burn(bad, total, target float64) float64 {
 	return (bad / total) / budget
 }
 
-// Evaluate runs every objective at time now, advances the hysteresis state
-// machines, and returns (and retains) the resulting Health.
+// Evaluate runs every objective at time now, proposes each raw verdict to
+// its hysteresis gate, and returns (and retains) the resulting Health.
 func (e *Evaluator) Evaluate(now time.Time) Health {
 	if e == nil {
 		return Health{State: StateOK}
@@ -251,46 +246,32 @@ func (e *Evaluator) Evaluate(now time.Time) Health {
 			raw = StateDegraded
 		}
 
-		st := &e.states[i]
-		if raw == st.reported {
-			st.pending, st.streak = StateOK, 0
-		} else if raw == st.pending && st.streak > 0 {
-			st.streak++
-			if st.streak >= e.cfg.Hysteresis {
-				st.reported = raw
-				st.pending, st.streak = StateOK, 0
-			}
-		} else {
-			st.pending, st.streak = raw, 1
-			if e.cfg.Hysteresis == 1 {
-				st.reported = raw
-				st.pending, st.streak = StateOK, 0
-			}
-		}
+		g := &e.gates[i]
+		g.Propose(raw, e.cfg.Hysteresis)
 
 		os := ObjectiveStatus{
 			Name:     o.Name,
 			Kind:     o.Kind,
-			State:    st.reported,
+			State:    g.Current,
 			Target:   o.Target,
 			FastBurn: fastBurn,
 			SlowBurn: slowBurn,
 			FastBad:  fastBad,
 			FastGood: fastTotal - fastBad,
 		}
-		if st.streak > 0 {
-			os.Pending, os.Streak = st.pending, st.streak
+		if g.Streak > 0 {
+			os.Pending, os.Streak = g.Pending, g.Streak
 		}
-		if st.reported != StateOK {
+		if g.Current != StateOK {
 			threshold := e.cfg.DegradedBurn
-			if st.reported == StateCritical {
+			if g.Current == StateCritical {
 				threshold = e.cfg.CriticalBurn
 			}
 			os.Reason = fmt.Sprintf("%s: burn fast=%.2f slow=%.2f >= %.2f (target %g)",
 				o.Name, fastBurn, slowBurn, threshold, o.Target)
 		}
-		if rank(st.reported) > rank(h.State) {
-			h.State = st.reported
+		if rank(g.Current) > rank(h.State) {
+			h.State = g.Current
 		}
 		h.Objectives = append(h.Objectives, os)
 	}

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"sync"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // Limits on the tail-sampler's in-progress state: how many distinct traces
@@ -33,27 +35,20 @@ type Trace struct {
 // the repository's disabled-observability contract.
 type TraceBuffer struct {
 	slow time.Duration
-	size int
 
 	mu       sync.Mutex
 	pending  map[ID][]SpanData
-	retained []Trace
-	next     int
-	full     bool
-	total    uint64 // traces ever retained, including overwritten ones
+	retained ring.Ring[Trace]
 	dropped  uint64 // spans dropped by the pending-state bounds
 }
 
 // NewTraceBuffer builds a tail sampler that retains up to size traces whose
 // root span ran at least slow (slow <= 0 retains only errored traces).
 func NewTraceBuffer(slow time.Duration, size int) *TraceBuffer {
-	if size < 1 {
-		size = 1
-	}
 	return &TraceBuffer{
-		slow:    slow,
-		size:    size,
-		pending: make(map[ID][]SpanData, maxPendingTraces),
+		slow:     slow,
+		pending:  make(map[ID][]SpanData, maxPendingTraces),
+		retained: ring.New[Trace](max(size, 1)),
 	}
 }
 
@@ -103,20 +98,12 @@ func (b *TraceBuffer) ExportSpan(d SpanData) {
 	if reason == "" {
 		return
 	}
-	tr := Trace{
+	b.retained.Push(Trace{
 		TraceID: d.TraceID,
 		Root:    d,
 		Spans:   append(spans, d),
 		Reason:  reason,
-	}
-	if len(b.retained) < b.size {
-		b.retained = append(b.retained, tr)
-	} else {
-		b.retained[b.next] = tr
-		b.next = (b.next + 1) % b.size
-		b.full = true
-	}
-	b.total++
+	})
 }
 
 // spanHasError reports whether the span carries an "error" attribute that
@@ -139,14 +126,7 @@ func (b *TraceBuffer) Snapshot() []Trace {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]Trace, 0, len(b.retained))
-	if b.full {
-		out = append(out, b.retained[b.next:]...)
-		out = append(out, b.retained[:b.next]...)
-	} else {
-		out = append(out, b.retained...)
-	}
-	return out
+	return b.retained.Items()
 }
 
 // Stats reports the buffer's occupancy: in-flight traces still buffering,
@@ -158,7 +138,7 @@ func (b *TraceBuffer) Stats() (pending, retained int, total, dropped uint64) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.pending), len(b.retained), b.total, b.dropped
+	return len(b.pending), b.retained.Len(), b.retained.Total(), b.dropped
 }
 
 // Cap reports the retained-ring bound (0 on a nil buffer).
@@ -166,7 +146,7 @@ func (b *TraceBuffer) Cap() int {
 	if b == nil {
 		return 0
 	}
-	return b.size
+	return b.retained.Cap()
 }
 
 // fanout forwards every span to a list of exporters.

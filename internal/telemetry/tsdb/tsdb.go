@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/ring"
 	"repro/internal/telemetry"
 )
 
@@ -33,53 +34,17 @@ type SeriesInfo struct {
 	Points int                  `json:"points"`
 }
 
-// series is one bounded ring of points. Scalar series fill vals; histogram
-// series fill hists (Point queries then read the cumulative sample count).
+// series is one bounded ring of readings.
 type series struct {
-	typ   telemetry.MetricType
-	times []int64
-	vals  []float64
-	hists []telemetry.HistogramSnapshot
-	next  int
-	full  bool
+	typ telemetry.MetricType
+	pts ring.Ring[reading]
 }
 
-// cap here is the ring bound (len(times) once full).
-func (s *series) push(bound int, t int64, v float64, h *telemetry.HistogramSnapshot) {
-	if len(s.times) < bound {
-		s.times = append(s.times, t)
-		s.vals = append(s.vals, v)
-		if s.typ == telemetry.TypeHistogram {
-			s.hists = append(s.hists, *h)
-		}
-		return
-	}
-	s.times[s.next] = t
-	s.vals[s.next] = v
-	if s.typ == telemetry.TypeHistogram {
-		s.hists[s.next] = *h
-	}
-	s.next = (s.next + 1) % bound
-	s.full = true
-}
-
-// ordered returns the retained point indices oldest-first.
-func (s *series) ordered() []int {
-	n := len(s.times)
-	idx := make([]int, 0, n)
-	if s.full {
-		for i := s.next; i < n; i++ {
-			idx = append(idx, i)
-		}
-		for i := 0; i < s.next; i++ {
-			idx = append(idx, i)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			idx = append(idx, i)
-		}
-	}
-	return idx
+// reading is one scrape of a series. A histogram reading keeps its bucket
+// snapshot, and its V is the cumulative sample count Point queries return.
+type reading struct {
+	Point
+	hist *telemetry.HistogramSnapshot // nil unless the series is a histogram
 }
 
 // DB holds the retained series. All methods are safe for concurrent use and
@@ -109,9 +74,11 @@ func NewDB(maxSeries, maxPoints int) *DB {
 	}
 }
 
-// Record appends one scrape's samples at time t (unix nanos). Samples for
-// series beyond the hard cap are dropped and counted, never partially
-// admitted: a series either exists with full history or not at all.
+// Record appends one scrape's samples at time t (unix nanos), keeping each
+// histogram sample's snapshot, which the caller must not change afterwards.
+// Samples for series beyond the hard cap are dropped and counted, never
+// partially admitted: a series either exists with full history or not at
+// all.
 func (db *DB) Record(t int64, samples []telemetry.Sample) {
 	if db == nil {
 		return
@@ -126,10 +93,10 @@ func (db *DB) Record(t int64, samples []telemetry.Sample) {
 				db.droppedSeries++
 				continue
 			}
-			sr = &series{typ: sm.Type}
+			sr = &series{typ: sm.Type, pts: ring.New[reading](db.maxPoints)}
 			db.series[sm.Name] = sr
 		}
-		sr.push(db.maxPoints, t, sm.Value, sm.Hist)
+		sr.pts.Push(reading{Point{T: t, V: sm.Value}, sm.Hist})
 	}
 }
 
@@ -142,7 +109,7 @@ func (db *DB) Stats() (nseries, npoints int, dropped uint64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, s := range db.series {
-		npoints += len(s.times)
+		npoints += s.pts.Len()
 	}
 	return len(db.series), npoints, db.droppedSeries
 }
@@ -155,7 +122,7 @@ func (db *DB) List() []SeriesInfo {
 	db.mu.Lock()
 	out := make([]SeriesInfo, 0, len(db.series))
 	for name, s := range db.series {
-		out = append(out, SeriesInfo{Name: name, Type: s.typ, Points: len(s.times)})
+		out = append(out, SeriesInfo{Name: name, Type: s.typ, Points: s.pts.Len()})
 	}
 	db.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -189,32 +156,32 @@ func (db *DB) Query(name string, from int64) []Point {
 	if !ok {
 		return nil
 	}
-	idx := s.ordered()
+	n := s.pts.Len()
 	switch {
 	case derive == "":
 		var out []Point
-		for _, i := range idx {
-			if s.times[i] >= from {
-				out = append(out, Point{T: s.times[i], V: s.vals[i]})
+		for i := range n {
+			if p := s.pts.At(i).Point; p.T >= from {
+				out = append(out, p)
 			}
 		}
 		return out
 	case derive == "rate" && s.typ == telemetry.TypeCounter:
 		var out []Point
-		for k := 1; k < len(idx); k++ {
-			i, j := idx[k-1], idx[k]
-			if s.times[j] < from {
+		for k := 1; k < n; k++ {
+			prev, cur := s.pts.At(k-1), s.pts.At(k)
+			if cur.T < from {
 				continue
 			}
-			dt := float64(s.times[j]-s.times[i]) / 1e9
+			dt := float64(cur.T-prev.T) / 1e9
 			if dt <= 0 {
 				continue
 			}
-			dv := s.vals[j] - s.vals[i]
+			dv := cur.V - prev.V
 			if dv < 0 {
 				dv = 0 // counter reset
 			}
-			out = append(out, Point{T: s.times[j], V: dv / dt})
+			out = append(out, Point{T: cur.T, V: dv / dt})
 		}
 		return out
 	default:
@@ -223,37 +190,36 @@ func (db *DB) Query(name string, from int64) []Point {
 			return nil
 		}
 		var out []Point
-		for k := 1; k < len(idx); k++ {
-			i, j := idx[k-1], idx[k]
-			if s.times[j] < from {
+		for k := 1; k < n; k++ {
+			prev, cur := s.pts.At(k-1), s.pts.At(k)
+			if cur.T < from {
 				continue
 			}
-			d := s.hists[j].Sub(s.hists[i])
+			d := cur.hist.Sub(*prev.hist)
 			if d.Count == 0 {
 				continue
 			}
-			out = append(out, Point{T: s.times[j], V: d.Quantile(q)})
+			out = append(out, Point{T: cur.T, V: d.Quantile(q)})
 		}
 		return out
 	}
 }
 
-// baseline returns the index (into the ring storage) of the reading to
+// baseline returns the position (oldest first) of the reading to
 // difference against for a window ending now and starting at `start`: the
 // latest point at or before start, else — when history was evicted — the
 // oldest retained point, else -1 meaning "the series is younger than the
 // window; counters started from zero".
-func (s *series) baseline(idx []int, start int64) int {
+func (s *series) baseline(start int64) int {
 	best := -1
-	for _, i := range idx {
-		if s.times[i] <= start {
-			best = i
-		} else {
+	for i := range s.pts.Len() {
+		if s.pts.At(i).T > start {
 			break
 		}
+		best = i
 	}
-	if best < 0 && s.full && len(idx) > 0 {
-		return idx[0]
+	if best < 0 && s.pts.Total() > uint64(s.pts.Len()) {
+		return 0
 	}
 	return best
 }
@@ -279,15 +245,15 @@ func (db *DB) CounterDelta(prefix, contains string, window, now int64) (float64,
 		if contains != "" && !strings.Contains(name, contains) {
 			continue
 		}
-		idx := s.ordered()
-		if len(idx) == 0 {
+		n := s.pts.Len()
+		if n == 0 {
 			continue
 		}
 		matched = true
-		last := s.vals[idx[len(idx)-1]]
+		last := s.pts.At(n - 1).V
 		var base float64
-		if b := s.baseline(idx, start); b >= 0 {
-			base = s.vals[b]
+		if b := s.baseline(start); b >= 0 {
+			base = s.pts.At(b).V
 		}
 		if d := last - base; d > 0 {
 			sum += d
@@ -310,15 +276,15 @@ func (db *DB) HistogramDelta(name string, window, now int64) (telemetry.Histogra
 	if !ok || s.typ != telemetry.TypeHistogram {
 		return telemetry.HistogramSnapshot{}, false
 	}
-	idx := s.ordered()
-	if len(idx) == 0 {
+	n := s.pts.Len()
+	if n == 0 {
 		return telemetry.HistogramSnapshot{}, false
 	}
-	last := s.hists[idx[len(idx)-1]]
-	if b := s.baseline(idx, start); b >= 0 {
-		return last.Sub(s.hists[b]), true
+	last := s.pts.At(n - 1).hist
+	if b := s.baseline(start); b >= 0 {
+		return last.Sub(*s.pts.At(b).hist), true
 	}
-	return last, true
+	return *last, true
 }
 
 // GaugeOver counts, among a gauge series' readings inside the window
@@ -339,12 +305,13 @@ func (db *DB) GaugeOver(prefix, contains string, threshold float64, window, now 
 		if contains != "" && !strings.Contains(name, contains) {
 			continue
 		}
-		for _, i := range s.ordered() {
-			if s.times[i] < start || s.times[i] > now {
+		for i := range s.pts.Len() {
+			p := s.pts.At(i)
+			if p.T < start || p.T > now {
 				continue
 			}
 			total++
-			if s.vals[i] >= threshold {
+			if p.V >= threshold {
 				over++
 			}
 		}
