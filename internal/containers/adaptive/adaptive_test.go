@@ -516,10 +516,11 @@ func TestAdaptiveDetectorSettlesAfterSwap(t *testing.T) {
 	})
 	phases.Drive(a, phases.Config{})
 	a.FlushWindow()
-	st, ok := a.Detector().Status(phases.Context + "#0")
-	if !ok {
-		t.Fatal("instance missing from detector")
+	sts := a.Detector().Statuses()
+	if len(sts) != 1 || sts[0].InstanceKey != phases.Context+"#0" {
+		t.Fatalf("instance missing from detector: %+v", sts)
 	}
+	st := sts[0]
 	if st.Kind != adt.KindHashSet || st.Current != adt.KindHashSet {
 		t.Fatalf("detector unsettled after swap: %+v", st)
 	}

@@ -196,13 +196,6 @@ func (b *Brainy) Analyze(profiles []profile.Profile, arch string) Report {
 	return rep
 }
 
-// AnalyzeContext is Analyze with cancellation: it aborts between profiles
-// when ctx is done, returning the context error. Long-lived callers
-// (brainy-serve) use it to honor per-request deadlines.
-func (b *Brainy) AnalyzeContext(ctx context.Context, profiles []profile.Profile, arch string) (Report, error) {
-	return AnalyzeContext(ctx, b.Suggest, profiles, arch)
-}
-
 // Suggester produces the verdict for one profile. Brainy.Suggest is the
 // canonical implementation; wrappers layer caching or instrumentation on
 // top without re-implementing the report logic.

@@ -21,8 +21,8 @@ import (
 	"repro/internal/ring"
 )
 
-// Config tunes a Detector. The zero value is usable: defaults fill in at
-// New.
+// Config tunes a Detector or a Tracker. The zero value is usable: defaults
+// fill in at New and at each Tracker.Observe.
 type Config struct {
 	// Window is how many recent snapshot windows blend into one evaluation
 	// profile (default 4). A larger blend smooths noise but sees phase
@@ -40,10 +40,11 @@ type Config struct {
 	// that disagrees with reality from the very first evaluation is also
 	// confirmed (through the same hysteresis) and raised.
 	BaselineActual bool
-	// OnEvent, when non-nil, runs synchronously for every drift event,
-	// after internal state has been updated. The detector keeps no event
-	// log: a caller that wants the events collects them here or from
-	// Observe's return value.
+	// OnEvent, when non-nil, runs synchronously for every drift event a
+	// Detector confirms, after internal state has been updated. The
+	// detector keeps no event log: a caller that wants the events collects
+	// them here or from Observe's return value. A Tracker's owner gets its
+	// events from Tracker.Observe alone.
 	OnEvent func(Event)
 }
 
@@ -97,64 +98,34 @@ type Status struct {
 // Drifted reports whether the advice ever moved off its initial value.
 func (s Status) Drifted() bool { return s.Events > 0 }
 
-// instState is the per-timeline sliding window and hysteresis gate.
-type instState struct {
-	recent  ring.Ring[profile.WindowRecord] // the last Config.Window records
-	windows int
-	ops     uint64
+// Tracker is one instance's drift state: the blend of its recent windows,
+// the backend it runs, and the gate its advice passes through. The zero
+// value is ready for the first window. It is not safe for concurrent use:
+// its owner guards it with a lock it already holds.
+type Tracker struct {
+	recent ring.Ring[profile.Profile] // the last Config.Window windows
+	kind   adt.Kind
 
 	advised    bool
 	initial    adt.Kind
 	advice     hysteresis.Gate[adt.Kind] // current advice and the streak against it
 	confidence float64
 	events     int
-
-	context  string
-	instance int
-	kind     adt.Kind
 }
 
-// Detector runs a Suggester over sliding blends of window records, one
-// state machine per instance timeline. Safe for concurrent use.
-type Detector struct {
-	suggest core.Suggester
-	cfg     Config
-
-	mu   sync.Mutex
-	inst map[string]*instState
-}
-
-// New builds a detector around a Suggester (Brainy.Suggest of a loaded
-// model set, or the deterministic Rules).
-func New(suggest core.Suggester, cfg Config) *Detector {
-	if suggest == nil {
-		panic("drift: New with nil suggester")
+// Observe adds one window of the tracker's instance to its blend, asks
+// suggest about the blend, and returns the drift event it confirmed, if
+// any: usually none, while advice holds or a streak settles. An error is
+// the suggester's (typically no model for the kind), returned after the
+// window was recorded. Zero fields of cfg take their defaults; OnEvent is
+// the owner's to run.
+func (t *Tracker) Observe(rec *profile.WindowRecord, arch string, suggest core.Suggester, cfg Config) (*Event, error) {
+	cfg = cfg.withDefaults()
+	if t.recent.Cap() == 0 {
+		t.recent = ring.New[profile.Profile](cfg.Window)
+		t.kind = rec.Kind
 	}
-	return &Detector{suggest: suggest, cfg: cfg.withDefaults(), inst: map[string]*instState{}}
-}
-
-// Observe feeds one window record into its instance's timeline and returns
-// the drift event it confirmed, if any. A nil event with a nil error is the
-// common case: advice unchanged (or still settling inside the hysteresis
-// streak). The error surfaces Suggester failures — typically a missing
-// model for the record's container kind — after the window has still been
-// recorded, so timelines keep accumulating across advisory gaps.
-func (d *Detector) Observe(rec *profile.WindowRecord, arch string) (*Event, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	key := rec.InstanceKey()
-	st := d.inst[key]
-	if st == nil {
-		st = &instState{
-			recent:   ring.New[profile.WindowRecord](d.cfg.Window),
-			context:  rec.Context,
-			instance: rec.Instance,
-			kind:     rec.Kind,
-		}
-		d.inst[key] = st
-	}
-	if rec.Kind != st.kind {
+	if rec.Kind != t.kind {
 		// The instance's backend changed mid-timeline. Either we asked for
 		// it (the record's kind matches the advice we raised an event for)
 		// or the host swapped on its own; in both cases the blended history
@@ -164,67 +135,61 @@ func (d *Detector) Observe(rec *profile.WindowRecord, arch string) (*Event, erro
 		// new divergence — so the gate settles instead of firing. Otherwise
 		// the swap was unsolicited: re-baseline advice on reality so the
 		// next divergence is measured from the backend actually running.
-		st.recent.Clear()
-		st.advice.Streak = 0
-		if st.advised {
-			st.advice.Current = rec.Kind
+		t.recent.Clear()
+		t.advice.Streak = 0
+		if t.advised {
+			t.advice.Current = rec.Kind
 		}
-		st.kind = rec.Kind
+		t.kind = rec.Kind
 	}
-	st.recent.Push(*rec)
-	st.windows++
-	st.ops += rec.Ops()
+	t.recent.Push(rec.Profile)
 
-	blended := st.blend()
+	blended := t.blend()
 	if blended.Stats.TotalCalls() == 0 {
 		return nil, nil // nothing ran in the blend: no workload to advise on
 	}
-	sug, err := d.suggest(&blended, arch)
+	sug, err := suggest(&blended, arch)
 	if err != nil {
-		return nil, fmt.Errorf("drift: advising %s: %w", key, err)
+		return nil, fmt.Errorf("drift: advising %s: %w", rec.InstanceKey(), err)
 	}
-	st.confidence = sug.Confidence
-	if !st.advised {
-		st.advised = true
-		st.initial = sug.Suggested
-		st.advice.Current = sug.Suggested
-		if !d.cfg.BaselineActual {
+	t.confidence = sug.Confidence
+	if !t.advised {
+		t.advised = true
+		t.initial = sug.Suggested
+		t.advice.Current = sug.Suggested
+		if !cfg.BaselineActual {
 			return nil, nil
 		}
 		// Baseline on the running backend: a first advice that already
 		// disagrees with the instance's actual kind is a divergence to
 		// confirm through the gate below, not a silent baseline.
-		st.advice.Current = st.kind
+		t.advice.Current = t.kind
 	}
-	from := st.advice.Current
-	if !st.advice.Propose(sug.Suggested, d.cfg.Hysteresis) {
+	from := t.advice.Current
+	if !t.advice.Propose(sug.Suggested, cfg.Hysteresis) {
 		return nil, nil
 	}
-	ev := Event{
-		InstanceKey: key,
-		Context:     st.context,
-		Instance:    st.instance,
+	t.events++
+	return &Event{
+		InstanceKey: rec.InstanceKey(),
+		Context:     rec.Context,
+		Instance:    rec.Instance,
 		Seq:         rec.Seq,
 		From:        from,
 		To:          sug.Suggested,
 		Confidence:  sug.Confidence,
-		Votes:       d.cfg.Hysteresis,
-	}
-	st.events++
-	if d.cfg.OnEvent != nil {
-		d.cfg.OnEvent(ev)
-	}
-	return &ev, nil
+		Votes:       cfg.Hysteresis,
+	}, nil
 }
 
 // blend merges the retained windows into one evaluation profile: software
 // and hardware features accumulate across the blend, identity and state
 // fields come from the newest window.
-func (st *instState) blend() profile.Profile {
-	n := st.recent.Len()
-	out := st.recent.At(n - 1).Profile
+func (t *Tracker) blend() profile.Profile {
+	n := t.recent.Len()
+	out := t.recent.At(n - 1)
 	for i := range n - 1 {
-		w := st.recent.At(i)
+		w := t.recent.At(i)
 		out.Stats.Add(w.Stats)
 		out.HW = out.HW.Add(w.HW)
 		out.Cycles += w.Cycles
@@ -232,54 +197,86 @@ func (st *instState) blend() profile.Profile {
 	return out
 }
 
-// Statuses returns the per-instance state, sorted by instance key — the
-// dashboard's row set.
+// Kind returns the backend the instance ran in its latest window.
+func (t *Tracker) Kind() adt.Kind { return t.kind }
+
+// Status returns the tracker's view of its instance. The tracker knows
+// nothing of the instance's identity or totals, so InstanceKey, Context,
+// Instance, Windows and Ops are left for its owner to fill.
+func (t *Tracker) Status() Status {
+	return Status{
+		Kind:       t.kind,
+		Initial:    t.initial,
+		Current:    t.advice.Current,
+		Confidence: t.confidence,
+		Streak:     t.advice.Streak,
+		Events:     t.events,
+		Advised:    t.advised,
+	}
+}
+
+// Detector keeps a Tracker per instance key, with the instance's identity
+// and totals, and never forgets one: a caller that bounds its instances
+// keeps Trackers itself. Safe for concurrent use.
+type Detector struct {
+	suggest core.Suggester
+	cfg     Config
+
+	mu   sync.Mutex
+	inst map[string]*timeline
+}
+
+// timeline is one Detector instance: its tracker, identity and totals.
+type timeline struct {
+	Tracker
+	context  string
+	instance int
+	windows  int
+	ops      uint64
+}
+
+// New builds a detector around a Suggester (Brainy.Suggest of a loaded
+// model set, or the deterministic Rules).
+func New(suggest core.Suggester, cfg Config) *Detector {
+	if suggest == nil {
+		panic("drift: New with nil suggester")
+	}
+	return &Detector{suggest: suggest, cfg: cfg.withDefaults(), inst: map[string]*timeline{}}
+}
+
+// Observe feeds one window record into its instance's Tracker and returns
+// the drift event it confirmed, if any, after running Config.OnEvent on
+// it. Its results are Tracker.Observe's.
+func (d *Detector) Observe(rec *profile.WindowRecord, arch string) (*Event, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+
+	key := rec.InstanceKey()
+	tl := d.inst[key]
+	if tl == nil {
+		tl = &timeline{context: rec.Context, instance: rec.Instance}
+		d.inst[key] = tl
+	}
+	tl.windows++
+	tl.ops += rec.Ops()
+	ev, err := tl.Observe(rec, arch, d.suggest, d.cfg)
+	if ev != nil && d.cfg.OnEvent != nil {
+		d.cfg.OnEvent(*ev)
+	}
+	return ev, err
+}
+
+// Statuses returns the per-instance state, sorted by instance key.
 func (d *Detector) Statuses() []Status {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]Status, 0, len(d.inst))
-	for key, st := range d.inst {
-		out = append(out, st.status(key))
+	for key, tl := range d.inst {
+		st := tl.Status()
+		st.InstanceKey, st.Context, st.Instance = key, tl.context, tl.instance
+		st.Windows, st.Ops = tl.windows, tl.ops
+		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].InstanceKey < out[j].InstanceKey })
 	return out
-}
-
-// Status returns one instance's state by key. A direct map read under the
-// mutex: the dashboard polls this per row, so it must not pay the
-// snapshot-and-sort cost of Statuses.
-func (d *Detector) Status(key string) (Status, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.inst[key]
-	if st == nil {
-		return Status{}, false
-	}
-	return st.status(key), true
-}
-
-// Forget drops the state kept for one instance, so a caller that bounds
-// its set of live instances (the serving tier's timeline LRU) bounds the
-// detector too.
-func (d *Detector) Forget(key string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.inst, key)
-}
-
-func (st *instState) status(key string) Status {
-	return Status{
-		InstanceKey: key,
-		Context:     st.context,
-		Instance:    st.instance,
-		Kind:        st.kind,
-		Windows:     st.windows,
-		Ops:         st.ops,
-		Initial:     st.initial,
-		Current:     st.advice.Current,
-		Confidence:  st.confidence,
-		Streak:      st.advice.Streak,
-		Events:      st.events,
-		Advised:     st.advised,
-	}
 }

@@ -79,6 +79,16 @@ func counts(kv ...interface{}) (c [opstats.NumOps]uint64) {
 	return c
 }
 
+// status finds one instance's state in d.Statuses().
+func status(d *Detector, key string) (Status, bool) {
+	for _, st := range d.Statuses() {
+		if st.InstanceKey == key {
+			return st, true
+		}
+	}
+	return Status{}, false
+}
+
 // TestRulesMissHeavyPrefersFlat: a lookup-heavy profile whose working set
 // thrashes the caches upgrades to the flat counterpart of its family — and
 // only then. Small or cache-resident profiles keep the pointer-based advice.
@@ -181,7 +191,7 @@ func TestDetectorDriftsAfterHysteresis(t *testing.T) {
 		t.Fatalf("callback saw %v, Observe returned %v", fired[0], *got)
 	}
 
-	st, ok := d.Status("demo/cache#0")
+	st, ok := status(d, "demo/cache#0")
 	if !ok {
 		t.Fatal("instance missing from Statuses")
 	}
@@ -243,11 +253,11 @@ func TestDetectorSkipsEmptyBlend(t *testing.T) {
 			t.Fatalf("empty blend: ev=%v err=%v", ev, err)
 		}
 	}
-	if st, ok := d.Status("t#0"); !ok || st.Advised || st.Windows != 3 || asked != 0 {
+	if st, ok := status(d, "t#0"); !ok || st.Advised || st.Windows != 3 || asked != 0 {
 		t.Fatalf("empty blends should be tracked but unadvised: %+v, suggester asked %d times", st, asked)
 	}
 	d.Observe(win("t", 0, 3, map[opstats.Op]uint64{opstats.OpFind: 5}), "core2")
-	if st, _ := d.Status("t#0"); !st.Advised || asked != 1 {
+	if st, _ := status(d, "t#0"); !st.Advised || asked != 1 {
 		t.Fatalf("a window with calls should be advised: %+v, suggester asked %d times", st, asked)
 	}
 }
@@ -315,7 +325,7 @@ func TestDetectorTreatsRequestedMigrationAsSettled(t *testing.T) {
 			t.Fatalf("completed migration re-raised drift: %v", ev)
 		}
 	}
-	st, ok := d.Status("mig#0")
+	st, ok := status(d, "mig#0")
 	if !ok || st.Kind != adt.KindHashSet || st.Current != adt.KindHashSet {
 		t.Fatalf("post-migration status: %+v", st)
 	}
@@ -335,40 +345,12 @@ func TestDetectorRebaselinesUnsolicitedSwap(t *testing.T) {
 			t.Fatalf("unsolicited swap raised event: ev=%v err=%v", ev, err)
 		}
 	}
-	st, ok := d.Status("swap#0")
+	st, ok := status(d, "swap#0")
 	if !ok || st.Current != adt.KindSet || st.Kind != adt.KindSet {
 		t.Fatalf("status after unsolicited swap: %+v", st)
 	}
 	if st.Events != 0 {
 		t.Fatalf("unsolicited swap counted as drift: %+v", st)
-	}
-}
-
-// TestStatusLookupDoesNotAllocate guards the direct-map-read fast path: a
-// single-key Status must not snapshot and sort the whole instance table.
-func TestStatusLookupDoesNotAllocate(t *testing.T) {
-	d := New(Rules, Config{Window: 1, Hysteresis: 1})
-	for i := 0; i < 256; i++ {
-		d.Observe(win("alloc", i, 0, buildMix), "core2")
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, ok := d.Status("alloc#128"); !ok {
-			t.Fatal("instance missing")
-		}
-	}); n != 0 {
-		t.Fatalf("Status allocated %.0f times per lookup", n)
-	}
-}
-
-func BenchmarkStatusLookup(b *testing.B) {
-	d := New(Rules, Config{Window: 1, Hysteresis: 1})
-	for i := 0; i < 1024; i++ {
-		d.Observe(win("bench", i, 0, buildMix), "core2")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Status("bench#512")
 	}
 }
 
@@ -382,7 +364,7 @@ func TestDetectorSuggesterErrorKeepsTimeline(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	st, ok := d.Status("e#0")
+	st, ok := status(d, "e#0")
 	if !ok || st.Windows != 1 || st.Advised {
 		t.Fatalf("window should be recorded despite the error: %+v", st)
 	}

@@ -316,7 +316,8 @@ func WriteWindows(w io.Writer, windows []WindowRecord) error {
 // DecodeWindows reads window records from r, calling fn once per record.
 // It accepts the same two wire forms as DecodeRecords (JSON lines or one
 // JSON array), reads r as DecodeRecords does, and has the same
-// callback-error contract. Records are not reordered: interleaved instances
+// callback-error contract. fn may keep the records it is given: the decoder
+// never reuses one. Records are not reordered: interleaved instances
 // and out-of-order sequence numbers are the caller's concern, which keeps
 // the decoder usable on long streams: past the first MiB it holds one
 // record at a time, though a stream that has not ended reaches fn only

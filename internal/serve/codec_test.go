@@ -14,7 +14,7 @@ import (
 )
 
 // The allocation budgets TestWireAllocBudget holds. With go1.24.0 the two
-// requests allocate 46 and 29, and allocated 69 and 50 with encoding/json
+// requests allocate 44 and 29, and allocated 69 and 50 with encoding/json
 // on both paths. Each budget sits between the two, so reflection coming
 // back on either path fails the test, while another Go release's counts
 // in net/http, encoding/json and maps have room.
@@ -64,32 +64,53 @@ func TestNonFiniteFeaturesRejected(t *testing.T) {
 	}
 }
 
-// TestRefusedBatchCountsItsTimeline: a batch refused part-way keeps the
-// windows before the refusal, so the timeline its first window opened
-// stays, and the instance gauge, the rollup and the store all count it.
-func TestRefusedBatchCountsItsTimeline(t *testing.T) {
-	s := rulesServer(Config{Shards: 2})
-	url, _ := startServer(t, s)
-
+// TestRefusedBatchAppliesNothing: a batch is checked whole before any of
+// it is applied, so a batch refused after a good window — with 400 for a
+// non-finite window, or 413 for a body cut past the byte cap — leaves no
+// timeline, instance gauge, window count or rollup row behind, and a
+// client can retry it without ingesting that window twice.
+func TestRefusedBatchAppliesNothing(t *testing.T) {
 	good := profile.WindowRecord{Profile: vectorProfile("refused/site", 40), EndOp: 10}
-	bad := good
-	bad.Seq, bad.StartOp, bad.EndOp = 1, 10, 20
-	bad.Cycles = -1000000
-	var body bytes.Buffer
-	if err := profile.WriteWindows(&body, []profile.WindowRecord{good, bad}); err != nil {
+	var first bytes.Buffer
+	if err := profile.WriteWindows(&first, []profile.WindowRecord{good}); err != nil {
 		t.Fatal(err)
 	}
-	if resp, _ := postProfiles(t, url, body.Bytes()); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("batch with a negative-cycles window: status %d, want 400", resp.StatusCode)
-	}
-	retained := 0
-	for _, sh := range s.shards {
-		retained += len(sh.timelines.views())
-	}
-	var roll RollupResponse
-	getJSON(t, url+"/v1/rollup", &roll)
-	if gauge := s.Metrics().TimelineInstances.Value(); gauge != 1 || roll.Instances != 1 || retained != 1 {
-		t.Fatalf("instances: gauge %v, rollup %d, retained %d; want 1 each", gauge, roll.Instances, retained)
+	next := good
+	next.Seq, next.StartOp, next.EndOp = 1, 10, 20
+	bad := next
+	bad.Cycles = -1000000
+	for _, tc := range []struct {
+		name    string
+		maxBody int64
+		second  profile.WindowRecord
+		status  int
+	}{
+		{"non-finite window", 0, bad, http.StatusBadRequest},
+		{"body past the cap", int64(first.Len()) + 16, next, http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := rulesServer(Config{Shards: 2, MaxBodyBytes: tc.maxBody})
+			url, _ := startServer(t, s)
+			var body bytes.Buffer
+			if err := profile.WriteWindows(&body, []profile.WindowRecord{good, tc.second}); err != nil {
+				t.Fatal(err)
+			}
+			if resp, _ := postProfiles(t, url, body.Bytes()); resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d", resp.StatusCode, tc.status)
+			}
+			retained := 0
+			for _, sh := range s.shards {
+				retained += len(sh.timelines.rows())
+			}
+			var roll RollupResponse
+			getJSON(t, url+"/v1/rollup", &roll)
+			if gauge := s.Metrics().TimelineInstances.Value(); gauge != 0 || roll.Instances != 0 || retained != 0 {
+				t.Fatalf("instances: gauge %v, rollup %d, retained %d; want 0 each", gauge, roll.Instances, retained)
+			}
+			if n := s.Metrics().ProfileWindows.Value(); n != 0 || roll.Windows != 0 {
+				t.Fatalf("windows: counter %d, rollup %d; want 0 each", n, roll.Windows)
+			}
+		})
 	}
 }
 

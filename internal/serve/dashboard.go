@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/opstats"
 	"repro/internal/profile"
-	"repro/internal/telemetry/tsdb"
 )
 
 // debugBrainyPath is where the live status page mounts.
@@ -98,10 +97,10 @@ func (s *Server) handleDebugBrainy(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// dashboard assembles the response by merging every shard's timeline store
-// and drift detector. Instance keys are unique across shards (each key
-// lives on exactly one shard), and the per-ingest touch stamp restores the
-// global most-recently-active order the single-store server rendered.
+// dashboard assembles the response by merging every shard's timeline rows.
+// Instance keys are unique across shards (each key lives on exactly one
+// shard), and the per-ingest touch stamp restores the global
+// most-recently-active order the single-store server rendered.
 func (s *Server) dashboard() DashboardResponse {
 	resp := DashboardResponse{
 		SchemaVersion: 2,
@@ -112,51 +111,16 @@ func (s *Server) dashboard() DashboardResponse {
 		OutOfOrder:    s.metrics.WindowsOutOfOrder.Value(),
 		Rows:          []DashboardRow{},
 	}
-	var views []timelineView
 	for _, sh := range s.shards {
-		views = append(views, sh.timelines.views()...)
+		resp.Rows = append(resp.Rows, sh.timelines.rows()...)
 	}
-	sort.Slice(views, func(i, j int) bool { return views[i].Touch > views[j].Touch })
-	for _, tl := range views {
-		row := DashboardRow{
-			Key:        tl.Key,
-			Context:    tl.Context,
-			Instance:   tl.Instance,
-			Kind:       tl.Kind.String(),
-			Windows:    tl.Windows,
-			Ops:        tl.Ops,
-			OutOfOrder: tl.OutOfOrder,
-			Touch:      tl.Touch,
-			Timeline:   []DashboardWindow{},
-		}
-		if st, ok := s.shardForInstance(tl.Key).drifts.Status(tl.Key); ok && st.Advised {
-			row.Advised = true
-			row.Initial = st.Initial.String()
-			row.Current = st.Current.String()
-			row.Confidence = st.Confidence
-			row.Drifted = st.Drifted()
-			row.Events = st.Events
-		}
-		var mix strings.Builder
-		lens := make([]float64, 0, len(tl.Recent))
-		for i := range tl.Recent {
-			cell := dashboardWindow(&tl.Recent[i])
-			row.Timeline = append(row.Timeline, cell)
-			mix.WriteByte(mixGlyph(cell))
-			lens = append(lens, float64(cell.Len))
-		}
-		row.Mix = mix.String()
-		// The trend derives from the retained windows themselves, not the
-		// sampler's wall clock, so a fixed ingestion sequence renders a
-		// byte-identical sparkline — the same golden contract as Mix.
-		row.Trend = tsdb.Spark(lens)
-		resp.Rows = append(resp.Rows, row)
-	}
+	sort.Slice(resp.Rows, func(i, j int) bool { return resp.Rows[i].Touch > resp.Rows[j].Touch })
 	resp.Instances = len(resp.Rows)
 	return resp
 }
 
-// dashboardWindow reduces one window to its dashboard cell.
+// dashboardWindow reduces one window to its dashboard cell; the timeline
+// store keeps the cell, not the window.
 func dashboardWindow(w *profile.WindowRecord) DashboardWindow {
 	s := &w.Stats
 	total := float64(s.TotalCalls())

@@ -278,6 +278,7 @@ func FuzzTimeseriesQuery(f *testing.F) {
 		"brainy_inflight_requests:p99",
 		"brainy_advise_duration_seconds:rate:rate",
 		":", ":p50", ",", "{,}", "{", "}}",
+		`up{addr="127.0.0.1:8377"}`, `up{addr="127.0.0.1:8377"}:rate`,
 	} {
 		for _, since := range []string{"", "30s", "-5s", "2000-01-01T00:00:00Z", "1000000", "-1", "garbage"} {
 			f.Add(series, since)

@@ -27,9 +27,13 @@ var errTooManyWindows = errors.New("too many window records")
 
 // handleProfiles ingests a snapshot-window stream (profile.SnapshotExporter
 // output, JSON lines or one JSON array): each window lands in its
-// instance's bounded timeline and runs through the drift detector. The
-// endpoint is designed for repeated POSTs from a live application — state
-// accumulates across requests, bounded by the instance LRU.
+// instance's bounded timeline, which runs the instance's drift evaluation.
+// The endpoint is designed for repeated POSTs from a live application —
+// state accumulates across requests, bounded by the instance LRU. A batch
+// is all or nothing: every window is decoded and checked before any is
+// applied, so a batch refused with 400 or 413 leaves the timelines, their
+// drift state, the rollup and the ingest counters as they were, and a
+// client can retry it whole.
 func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -46,52 +50,19 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	span.SetStr("arch", arch)
 	span.SetStr("request_id", RequestIDFromContext(ctx))
 
-	resp := ProfilesResponse{Arch: arch, Drift: []drift.Event{}}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	var recs []*profile.WindowRecord
+	var vecs [][]float64 // vecs[i] is recs[i].Vector(), built once
 	err := profile.DecodeWindows(body, func(rec *profile.WindowRecord) error {
-		if resp.Accepted >= s.cfg.MaxProfiles {
+		if len(recs) >= s.cfg.MaxProfiles {
 			return errTooManyWindows
 		}
-		vec, err := checkFinite("window", resp.Accepted, &rec.Profile)
+		vec, err := checkFinite("window", len(recs), &rec.Profile)
 		if err != nil {
 			return err
 		}
-		// The instance key routes the window to the shard owning its
-		// timeline and drift state; everything below touches only that
-		// shard (plus shared atomic counters).
-		sh := s.shardForInstance(rec.InstanceKey())
-		out := sh.timelines.add(rec, s.touchSeq.Add(1))
-		sh.rollup.ingestWindow(rec, vec, out)
-		if out.isNew {
-			s.metrics.TimelineInstances.Inc()
-		}
-		if out.outOfOrder {
-			resp.OutOfOrder++
-			s.metrics.WindowsOutOfOrder.Inc()
-		}
-		if out.evicted {
-			s.metrics.TimelineInstances.Dec()
-			s.metrics.TimelineEvictions.Inc()
-			sh.drifts.Forget(out.evictedKey)
-		}
-		resp.Accepted++
-		s.metrics.ProfileWindows.Inc()
-		s.metrics.WindowOps.Observe(float64(rec.Ops()))
-
-		ev, derr := sh.drifts.Observe(rec, arch)
-		if derr != nil {
-			resp.Unadvised++ // no model for this kind/arch: timeline still grows
-			s.metrics.DriftSkipped.Inc()
-		}
-		if ev != nil {
-			resp.Drift = append(resp.Drift, *ev)
-			s.metrics.DriftEvents.Inc()
-			sh.rollup.countDrift(rec.Kind)
-			sh.recordDrift(ev, vec)
-			s.log.Info("phase drift", "instance", ev.InstanceKey,
-				"from", ev.From.String(), "to", ev.To.String(),
-				"window", ev.Seq, "confidence", ev.Confidence)
-		}
+		recs = append(recs, rec)
+		vecs = append(vecs, vec)
 		return nil
 	})
 	switch {
@@ -106,9 +77,42 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if resp.Accepted == 0 {
+	if len(recs) == 0 {
 		writeError(w, http.StatusBadRequest, "empty stream: send JSON-lines or a JSON array of window records")
 		return
+	}
+
+	resp := ProfilesResponse{Arch: arch, Accepted: len(recs), Drift: []drift.Event{}}
+	for i, rec := range recs {
+		// The instance key routes the window to the shard owning its
+		// timeline and drift state; everything below touches only that
+		// shard (plus shared atomic counters).
+		sh := s.shardForInstance(rec.InstanceKey())
+		out := sh.timelines.add(rec, s.touchSeq.Add(1), arch)
+		sh.rollup.ingestWindow(rec, vecs[i], out)
+		if out.isNew {
+			s.metrics.TimelineInstances.Inc()
+		}
+		if out.outOfOrder {
+			resp.OutOfOrder++
+			s.metrics.WindowsOutOfOrder.Inc()
+		}
+		if out.evicted {
+			s.metrics.TimelineInstances.Dec()
+			s.metrics.TimelineEvictions.Inc()
+		}
+		s.metrics.ProfileWindows.Inc()
+		s.metrics.WindowOps.Observe(float64(rec.Ops()))
+		if out.err != nil {
+			resp.Unadvised++ // no model for this kind/arch: timeline still grows
+			s.metrics.DriftSkipped.Inc()
+		}
+		if ev := out.event; ev != nil {
+			resp.Drift = append(resp.Drift, *ev)
+			s.metrics.DriftEvents.Inc()
+			sh.rollup.countDrift(rec.Kind)
+			sh.recordDrift(ev, vecs[i])
+		}
 	}
 	resp.Instances = int(s.metrics.TimelineInstances.Value())
 	span.SetInt("windows", int64(resp.Accepted))

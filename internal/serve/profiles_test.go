@@ -7,11 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/adt"
+	"repro/internal/drift"
 	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/workloads/phases"
@@ -247,20 +251,149 @@ func TestTimelineLRUBound(t *testing.T) {
 	}
 }
 
-// TestDriftStateBoundedByTimelineLRU: evicting a timeline also drops its
-// instance's drift state, so the detector stays inside the LRU bound
-// instead of growing with every instance key ever ingested.
+// TestIngestDriftMatchesDetector: the drift state each timeline keeps
+// gives the answers a drift.Detector gives for the same windows in the same
+// order, whatever the shard count and timeline ring size: every reply's
+// events, and every dashboard row's advice. The windows come from twelve
+// phases instances at six window sizes, posted four at a time and
+// interleaved across instances; every third instance has its cycles scaled
+// to fractional values, and every fourth migrates to hash_set halfway.
+func TestIngestDriftMatchesDetector(t *testing.T) {
+	var streams [][]profile.WindowRecord
+	for i := 0; i < 12; i++ {
+		recs, err := profile.ReadWindows(bytes.NewReader(phaseWindowStream(t, []int{16, 24, 32, 48, 64, 96}[i%6])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range recs {
+			recs[j].Instance = i
+			if i%3 == 1 {
+				recs[j].Cycles *= 1.37
+			}
+			if i%4 == 3 && j >= len(recs)/2 {
+				recs[j].Kind = adt.KindHashSet
+			}
+		}
+		streams = append(streams, recs)
+	}
+	var batches [][]profile.WindowRecord
+	for off, more := 0, true; more; off += 4 {
+		more = false
+		for _, recs := range streams {
+			if off < len(recs) {
+				batches = append(batches, recs[off:min(off+4, len(recs))])
+				more = true
+			}
+		}
+	}
+
+	for _, shards := range []int{1, 4} {
+		for _, windows := range []int{4, 32} {
+			t.Run(fmt.Sprintf("shards=%d/windows=%d", shards, windows), func(t *testing.T) {
+				s := rulesServer(Config{Shards: shards, TimelineWindows: windows})
+				t.Cleanup(s.Close)
+				h := s.Handler()
+				det := drift.New(drift.Rules, drift.Config{Window: 2, Hysteresis: 2})
+				events := 0
+				for n, batch := range batches {
+					var body bytes.Buffer
+					if err := profile.WriteWindows(&body, batch); err != nil {
+						t.Fatal(err)
+					}
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/profiles?arch=Core2", &body))
+					var got ProfilesResponse
+					if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil {
+						t.Fatalf("batch %d: status %d (%v): %s", n, rec.Code, err, rec.Body)
+					}
+					want := []drift.Event{}
+					for i := range batch {
+						ev, err := det.Observe(&batch[i], "Core2")
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ev != nil {
+							want = append(want, *ev)
+						}
+					}
+					if !reflect.DeepEqual(got.Drift, want) {
+						t.Fatalf("batch %d: reply events %+v, detector %+v", n, got.Drift, want)
+					}
+					events += len(want)
+				}
+				if events == 0 {
+					t.Fatal("no drift event to compare")
+				}
+
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, debugBrainyPath+"?format=json", nil))
+				var dash DashboardResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &dash); err != nil {
+					t.Fatal(err)
+				}
+				sts := det.Statuses()
+				if len(dash.Rows) != len(sts) {
+					t.Fatalf("dashboard has %d rows, detector %d instances", len(dash.Rows), len(sts))
+				}
+				for i, st := range sts {
+					row := dash.Rows[i] // both sorted by instance key
+					want := DashboardRow{Key: st.InstanceKey, Kind: st.Kind.String(), Windows: st.Windows, Ops: st.Ops,
+						Advised: st.Advised, Initial: st.Initial.String(), Current: st.Current.String(),
+						Confidence: st.Confidence, Drifted: st.Drifted(), Events: st.Events}
+					got := DashboardRow{Key: row.Key, Kind: row.Kind, Windows: row.Windows, Ops: row.Ops,
+						Advised: row.Advised, Initial: row.Initial, Current: row.Current,
+						Confidence: row.Confidence, Drifted: row.Drifted, Events: row.Events}
+					if !st.Advised {
+						want.Initial, want.Current = "", ""
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("row %s: dashboard %+v, detector %+v", st.InstanceKey, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDriftStateBoundedByTimelineLRU: an instance's drift state lives in
+// its timeline, so evicting the timeline drops it, and the instance's next
+// window starts from a clean state instead of the one it left.
 func TestDriftStateBoundedByTimelineLRU(t *testing.T) {
 	s := rulesServer(Config{MaxInstances: 4, TimelineWindows: 4, Shards: 1})
 	url, _ := startServer(t, s)
-	for i := 0; i < 10; i++ {
+	key := phases.Context + "#0"
+	row := func() (DashboardRow, bool) {
+		var dash DashboardResponse
+		getJSON(t, url+debugBrainyPath+"?format=json", &dash)
+		for _, r := range dash.Rows {
+			if r.Key == key {
+				return r, true
+			}
+		}
+		return DashboardRow{}, false
+	}
+	stream := phaseWindowStream(t, 64)
+	if resp, out := postProfiles(t, url, stream); resp.StatusCode != http.StatusOK || len(out.Drift) != 1 {
+		t.Fatalf("phase stream: status %d, %d drift events", resp.StatusCode, len(out.Drift))
+	}
+	if r, ok := row(); !ok || r.Events != 1 || r.Windows < 2 {
+		t.Fatalf("before eviction: %+v (retained %v)", r, ok)
+	}
+	for i := 0; i < 4; i++ {
 		w := fmt.Sprintf(`{"context":"many/instances","kind":0,"instance":%d,"window_seq":0,"window_start_op":0,"window_end_op":8,"stats":{"count":[0,0,0,0,8,0,0,0,0,0]}}`+"\n", i)
 		if resp, _ := postProfiles(t, url, []byte(w)); resp.StatusCode != http.StatusOK {
 			t.Fatalf("instance %d: status = %d", i, resp.StatusCode)
 		}
 	}
-	if got := len(s.shards[0].drifts.Statuses()); got > 4 {
-		t.Fatalf("drift detector holds %d instances, timeline bound is 4", got)
+	if r, ok := row(); ok {
+		t.Fatalf("timeline outlived the LRU bound: %+v", r)
+	}
+	firstWindow, _, _ := bytes.Cut(stream, []byte("\n"))
+	if resp, _ := postProfiles(t, url, firstWindow); resp.StatusCode != http.StatusOK {
+		t.Fatalf("re-ingest: status = %d", resp.StatusCode)
+	}
+	if r, ok := row(); !ok || r.Windows != 1 || r.Events != 0 || r.Drifted {
+		t.Fatalf("evicted instance did not start clean: %+v (retained %v)", r, ok)
 	}
 }
 

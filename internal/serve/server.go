@@ -5,8 +5,8 @@
 // this package is the production shape of the same pipeline.
 //
 // Internally the server is a fleet of shards: every hot structure — the
-// inference LRU, the instance timelines, the drift state machines — is
-// split N ways by key hash, each slice owned by one advisorShard, so the
+// inference LRU, the instance timelines with their drift state — is split
+// N ways by key hash, each slice owned by one advisorShard, so the
 // advise and ingest hot paths never contend on a process-wide lock. Cache
 // misses queue on their shard's batcher and are evaluated together in one
 // ANN matrix pass, bit-identical to one-at-a-time evaluation. Requests get
@@ -51,9 +51,9 @@ type Config struct {
 	// RequestTimeout bounds one advise request end to end; on expiry the
 	// client gets 408 (default 30s).
 	RequestTimeout time.Duration
-	// Shards is how many ways the hot state (inference cache, timelines,
-	// drift detectors, batch queues) is split. Each shard is owned by one
-	// goroutine-backed batcher, so shards never contend with each other.
+	// Shards is how many ways the hot state (inference cache, timelines
+	// and their drift state, batch queues) is split. Each shard is owned by
+	// one goroutine-backed batcher, so shards never contend with each other.
 	// Default: GOMAXPROCS.
 	Shards int
 	// BatchSize caps how many queued inferences one shard coalesces into a
@@ -61,9 +61,9 @@ type Config struct {
 	// batch-mates: each pass takes whatever is queued when it starts.
 	BatchSize int
 	// NoRequestLog disables the per-request structured log line. The
-	// lifecycle and drift logs remain. Under load-test rates the log
-	// serializes every request on the slog handler's mutex, which is
-	// exactly the kind of process-wide choke point sharding removes.
+	// lifecycle log remains. Under load-test rates the log serializes
+	// every request on the slog handler's mutex, which is exactly the kind
+	// of process-wide choke point sharding removes.
 	NoRequestLog bool
 	// CacheSize bounds the inference LRU in entries; 0 uses the default
 	// (4096), negative disables caching.
@@ -92,8 +92,8 @@ type Config struct {
 	// drift.Rules advisor instead of the loaded models — the right setting
 	// for smoke environments without a trained model set.
 	DriftRules bool
-	// DriftWindow and DriftHysteresis tune the drift detector's sliding
-	// blend and confirmation streak; zero uses the drift package defaults.
+	// DriftWindow and DriftHysteresis tune each instance's drift blend and
+	// confirmation streak; zero uses the drift package defaults.
 	DriftWindow     int
 	DriftHysteresis int
 	// FlightSize bounds the decision flight recorder: each shard journals
@@ -194,9 +194,9 @@ type Server struct {
 	tracer  *telemetry.Tracer
 
 	// shards owns everything a request touches per key: the inference
-	// cache, the instance timelines, the drift state machines, and the
-	// batch queue. A request key hashes to exactly one shard, so requests
-	// for different keys never share a lock.
+	// cache, the instance timelines with their drift state, and the batch
+	// queue. A request key hashes to exactly one shard, so requests for
+	// different keys never share a lock.
 	shards []*advisorShard
 
 	// touchSeq is a process-wide recency stamp: each /v1/profiles ingest
@@ -280,11 +280,10 @@ func New(models *training.ModelSet, cfg Config) *Server {
 	s.shards = make([]*advisorShard, cfg.Shards)
 	for i := range s.shards {
 		sh := &advisorShard{
-			srv:       s,
-			id:        i,
-			cache:     newLRUCache(perCache),
-			timelines: newTimelineStore(perInstances, cfg.TimelineWindows),
-			rollup:    newRollupState(),
+			srv:    s,
+			id:     i,
+			cache:  newLRUCache(perCache),
+			rollup: newRollupState(),
 		}
 		if cfg.FlightSize > 0 {
 			sh.flight = flight.NewRing(cfg.FlightSize, &s.decSeq)
@@ -293,7 +292,7 @@ func New(models *training.ModelSet, cfg Config) *Server {
 		if cfg.DriftRules {
 			suggest = drift.Rules
 		}
-		sh.drifts = drift.New(suggest, drift.Config{
+		sh.timelines = newTimelineStore(perInstances, cfg.TimelineWindows, suggest, drift.Config{
 			Window:     cfg.DriftWindow,
 			Hysteresis: cfg.DriftHysteresis,
 		})

@@ -100,7 +100,7 @@ func TestRollupInvariantToShardCount(t *testing.T) {
 		}
 		used := 0
 		for _, sh := range s.shards {
-			if len(sh.timelines.views()) > 0 {
+			if len(sh.timelines.rows()) > 0 {
 				used++
 			}
 		}

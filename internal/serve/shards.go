@@ -16,10 +16,12 @@ import (
 // advisorShard is one vertical slice of the server's hot state. Every
 // request key — the inference cache key on the advise path, the instance
 // key on the ingest path — hashes to exactly one shard, and that shard
-// exclusively owns the corresponding LRU cache, timeline store, and drift
-// detector. Two requests contend only when they address the same shard, so
-// lock contention falls 1/N instead of every request serializing on one
-// mutex; nothing on either hot path takes a lock owned by another shard.
+// exclusively owns the corresponding LRU cache and timeline store, whose
+// timelines carry each instance's drift state. Two requests contend only
+// when they address the same shard, so lock contention falls 1/N instead of
+// every request serializing on one mutex. Neither hot path takes a lock
+// owned by another shard, with one exception: a journaled advise reads its
+// context's drift state (driftStateFor).
 //
 // The batcher is the shard's single evaluation goroutine: advise cache
 // misses queue here, and each pass takes whatever is queued (up to the
@@ -30,7 +32,6 @@ type advisorShard struct {
 	id        int
 	cache     *lruCache
 	timelines *timelineStore
-	drifts    *drift.Detector
 	batcher   *shard.Batcher[*inferSlot]
 
 	// flight journals this shard's advise decisions (nil when recording is
@@ -138,12 +139,16 @@ func (sh *advisorShard) recordDrift(ev *drift.Event, vec []float64) {
 	})
 }
 
-// driftStateFor summarizes the drift detector's view of a context for a
-// journaled record: best-effort, keyed on the convention that instance 0
-// carries a context's primary timeline. "" means never seen on the ingest
-// path, "stable" means advice never moved, "a->b" is the latest move.
+// driftStateFor summarizes the drift state of a context for a journaled
+// record: best-effort, keyed on the convention that instance 0 carries a
+// context's primary timeline. "" means not retained on the ingest path,
+// "stable" means advice never moved, "a->b" is the latest move. It reads
+// the timeline under the lock of the shard that owns it — usually another
+// shard, and the one exception to shard ownership: ingest holds that lock
+// through a drift evaluation.
 func (s *Server) driftStateFor(context string) string {
-	st, ok := s.shardForInstance(context + "#0").drifts.Status(context + "#0")
+	key := context + "#0"
+	st, ok := s.shardForInstance(key).timelines.driftStatus(key)
 	if !ok || !st.Advised {
 		return ""
 	}
@@ -236,8 +241,9 @@ func (sh *advisorShard) runBatch(items []*inferSlot) {
 }
 
 // cachingSuggester wraps Brainy.Suggest with this shard's LRU for the
-// synchronous callers (the drift detector evaluates one blended window at a
-// time during ingest, where batching latency would be pure cost).
+// synchronous callers (each timeline's drift tracker evaluates one blended
+// window at a time during ingest, where batching latency would be pure
+// cost).
 // Model-derived fields are cached under the canonical inference key;
 // per-request fields (Context, CyclesPct) are re-stamped on every hit. The
 // shard uses its own cache even when the key would hash elsewhere — an

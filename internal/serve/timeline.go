@@ -5,20 +5,23 @@ import (
 	"sync"
 
 	"repro/internal/adt"
+	"repro/internal/core"
+	"repro/internal/drift"
 	"repro/internal/profile"
 	"repro/internal/ring"
+	"repro/internal/telemetry/tsdb"
 )
 
 // timeline is everything the server retains about one container instance:
-// identity, lifetime totals, and a bounded ring of its most recent windows.
-// Memory per timeline is capped by the ring, memory across timelines by the
-// store's LRU — a misbehaving client streaming a million instances evicts
-// its own history instead of growing the process.
+// identity, lifetime totals, a bounded ring of dashboard cells for its most
+// recent windows, and its drift state. Memory per timeline is capped by the
+// ring and the tracker's blend, memory across timelines by the store's LRU —
+// a misbehaving client streaming a million instances evicts its own history
+// instead of growing the process.
 type timeline struct {
 	key      string
 	context  string
 	instance int
-	kind     adt.Kind
 
 	windows    int    // windows ever ingested for this instance
 	ops        uint64 // interface invocations those windows covered
@@ -31,27 +34,32 @@ type timeline struct {
 	// most-recently-active order.
 	touch uint64
 
-	recent ring.Ring[profile.WindowRecord] // guarded by the store's lock
+	// cells are the recent windows reduced at ingest to what the dashboard
+	// reads: eight words each and no pointers, so the GC has nothing in them
+	// to trace.
+	cells ring.Ring[DashboardWindow]
+	drift drift.Tracker
 }
 
-// timelineStore is the bounded per-instance window retention behind
-// /v1/profiles: an LRU over instance keys, each holding a bounded ring of
-// recent windows. All methods are safe for concurrent use.
+// timelineStore is the bounded per-instance state behind /v1/profiles: an
+// LRU over instance keys, each holding one timeline. All methods are safe
+// for concurrent use; one lock covers every timeline and its drift state.
 type timelineStore struct {
-	mu          sync.Mutex
-	maxInst     int
-	ringSize    int
-	order       *list.List // front = most recently touched
-	items       map[string]*list.Element
-	evictions   uint64
-	totalWin    uint64
-	totalOutOfO uint64
+	mu       sync.Mutex
+	maxInst  int
+	ringSize int
+	suggest  core.Suggester
+	driftCfg drift.Config
+	order    *list.List // front = most recently touched
+	items    map[string]*list.Element
 }
 
-func newTimelineStore(maxInstances, ringSize int) *timelineStore {
+func newTimelineStore(maxInstances, ringSize int, suggest core.Suggester, driftCfg drift.Config) *timelineStore {
 	return &timelineStore{
 		maxInst:  maxInstances,
 		ringSize: ringSize,
+		suggest:  suggest,
+		driftCfg: driftCfg,
 		order:    list.New(),
 		items:    make(map[string]*list.Element),
 	}
@@ -60,21 +68,24 @@ func newTimelineStore(maxInstances, ringSize int) *timelineStore {
 // addOutcome reports everything one ingest changed, so the caller can keep
 // incremental per-kind aggregates (the /v1/rollup state) in lockstep with
 // the store: instance creations and evictions move instance counts,
-// kind changes are observed migrations.
+// kind changes are observed migrations. event and err are the drift
+// evaluation's.
 type addOutcome struct {
 	outOfOrder  bool
 	isNew       bool     // a timeline was created for this instance
 	kindChanged bool     // the instance's backend changed mid-timeline
 	prevKind    adt.Kind // valid when kindChanged
 	evicted     bool     // a timeline was evicted to make room
-	evictedKey  string   // valid when evicted
 	evictedKind adt.Kind // valid when evicted
+	event       *drift.Event
+	err         error // the suggester could not advise on the blend
 }
 
 // add ingests one window into its instance's timeline, creating (and, at
 // the bound, evicting) as needed, stamping the timeline with the caller's
-// recency stamp.
-func (s *timelineStore) add(w *profile.WindowRecord, touch uint64) addOutcome {
+// recency stamp, and runs the instance's drift evaluation on arch, all
+// under one hold of the store lock.
+func (s *timelineStore) add(w *profile.WindowRecord, touch uint64, arch string) addOutcome {
 	key := w.InstanceKey()
 	var out addOutcome
 	s.mu.Lock()
@@ -85,9 +96,8 @@ func (s *timelineStore) add(w *profile.WindowRecord, touch uint64) addOutcome {
 			key:      key,
 			context:  w.Context,
 			instance: w.Instance,
-			kind:     w.Kind,
 			lastSeq:  -1,
-			recent:   ring.New[profile.WindowRecord](s.ringSize),
+			cells:    ring.New[DashboardWindow](s.ringSize),
 		}
 		el = s.order.PushFront(tl)
 		s.items[key] = el
@@ -97,10 +107,8 @@ func (s *timelineStore) add(w *profile.WindowRecord, touch uint64) addOutcome {
 			s.order.Remove(oldest)
 			victim := oldest.Value.(*timeline)
 			delete(s.items, victim.key)
-			s.evictions++
 			out.evicted = true
-			out.evictedKey = victim.key
-			out.evictedKind = victim.kind
+			out.evictedKind = victim.drift.Kind()
 		}
 	} else {
 		s.order.MoveToFront(el)
@@ -109,56 +117,77 @@ func (s *timelineStore) add(w *profile.WindowRecord, touch uint64) addOutcome {
 	tl.touch = touch
 	if tl.windows > 0 && w.Seq <= tl.lastSeq {
 		tl.outOfOrder++
-		s.totalOutOfO++
 		out.outOfOrder = true
 	}
 	if w.Seq > tl.lastSeq {
 		tl.lastSeq = w.Seq
 	}
-	if !out.isNew && w.Kind != tl.kind {
+	if !out.isNew && w.Kind != tl.drift.Kind() {
 		out.kindChanged = true
-		out.prevKind = tl.kind
+		out.prevKind = tl.drift.Kind()
 	}
 	tl.windows++
 	tl.ops += w.Ops()
-	tl.kind = w.Kind
-	tl.recent.Push(*w)
-	s.totalWin++
+	tl.cells.Push(dashboardWindow(w))
+	out.event, out.err = tl.drift.Observe(w, arch, s.suggest, s.driftCfg)
 	return out
 }
 
-// timelineView is a consistent copy of one timeline, for rendering.
-type timelineView struct {
-	Key        string
-	Context    string
-	Instance   int
-	Kind       adt.Kind
-	Windows    int
-	Ops        uint64
-	OutOfOrder int
-	Touch      uint64                 // global recency stamp of the last ingest
-	Recent     []profile.WindowRecord // oldest first
-}
-
-// views returns a copy of every retained timeline, most recently touched
-// first (the order a live dashboard wants: active instances on top).
-func (s *timelineStore) views() []timelineView {
+// driftStatus returns the drift state of one retained instance.
+func (s *timelineStore) driftStatus(key string) (drift.Status, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]timelineView, 0, len(s.items))
+	el, ok := s.items[key]
+	if !ok {
+		return drift.Status{}, false
+	}
+	return el.Value.(*timeline).drift.Status(), true
+}
+
+// rows renders every retained timeline as a dashboard row, most recently
+// touched first.
+func (s *timelineStore) rows() []DashboardRow {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]DashboardRow, 0, len(s.items))
 	for el := s.order.Front(); el != nil; el = el.Next() {
-		tl := el.Value.(*timeline)
-		out = append(out, timelineView{
-			Key:        tl.key,
-			Context:    tl.context,
-			Instance:   tl.instance,
-			Kind:       tl.kind,
-			Windows:    tl.windows,
-			Ops:        tl.ops,
-			OutOfOrder: tl.outOfOrder,
-			Touch:      tl.touch,
-			Recent:     tl.recent.Items(),
-		})
+		out = append(out, el.Value.(*timeline).row())
 	}
 	return out
+}
+
+// row renders the timeline for the dashboard. The trend derives from the
+// retained windows themselves, not the sampler's wall clock, so a fixed
+// ingestion sequence renders a byte-identical sparkline — the same golden
+// contract as Mix.
+func (tl *timeline) row() DashboardRow {
+	st := tl.drift.Status()
+	row := DashboardRow{
+		Key:        tl.key,
+		Context:    tl.context,
+		Instance:   tl.instance,
+		Kind:       st.Kind.String(),
+		Windows:    tl.windows,
+		Ops:        tl.ops,
+		OutOfOrder: tl.outOfOrder,
+		Touch:      tl.touch,
+		Timeline:   tl.cells.Items(),
+	}
+	if st.Advised {
+		row.Advised = true
+		row.Initial = st.Initial.String()
+		row.Current = st.Current.String()
+		row.Confidence = st.Confidence
+		row.Drifted = st.Drifted()
+		row.Events = st.Events
+	}
+	mix := make([]byte, len(row.Timeline))
+	lens := make([]float64, len(row.Timeline))
+	for i, cell := range row.Timeline {
+		mix[i] = mixGlyph(cell)
+		lens[i] = float64(cell.Len)
+	}
+	row.Mix = string(mix)
+	row.Trend = tsdb.Spark(lens)
+	return row
 }

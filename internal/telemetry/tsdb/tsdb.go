@@ -146,8 +146,10 @@ func (db *DB) Query(name string, from int64) []Point {
 	if db == nil {
 		return nil
 	}
+	// A suffix follows the labels, so a colon inside a label value (an
+	// address's port) is part of the series name.
 	base, derive := name, ""
-	if i := strings.LastIndexByte(name, ':'); i >= 0 {
+	if i := strings.LastIndexByte(name, ':'); i > strings.LastIndexByte(name, '}') {
 		base, derive = name[:i], name[i+1:]
 	}
 	db.mu.Lock()

@@ -49,6 +49,29 @@ func TestSamplerScrapesCountersAndDerivesRates(t *testing.T) {
 	}
 }
 
+// TestQueryColonInLabelValue: a colon inside a label value is part of the
+// series name, not a derived-series suffix, so such a series reads back raw
+// and as a rate.
+func TestQueryColonInLabelValue(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	up := reg.CounterVec("up", "").With(`addr="127.0.0.1:8377"`)
+	clk := newClock()
+	s := New(reg, Config{Now: clk.now, NoGauges: true})
+	for i := 0; i < 3; i++ {
+		up.Add(5)
+		clk.tick(time.Second)
+		s.Scrape()
+	}
+	const name = `up{addr="127.0.0.1:8377"}`
+	if raw := s.DB().Query(name, 0); len(raw) != 3 || raw[2].V != 15 {
+		t.Fatalf("raw points = %+v, want 3 cumulative readings 5..15", raw)
+	}
+	rates := s.DB().Query(name+":rate", 0)
+	if len(rates) != 2 || rates[0].V != 5 || rates[1].V != 5 {
+		t.Fatalf("rate points = %+v, want 2 of 5/s", rates)
+	}
+}
+
 func TestSamplerHistogramQuantilesFromDeltas(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := reg.Histogram("lat_seconds", "", 0.01, 0.1, 1)
