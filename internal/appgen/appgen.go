@@ -3,7 +3,7 @@
 // function-dispatch loop whose every behaviour — operation mix, operand
 // values, element size, search skew — is drawn from a seeded random number
 // generator. Regenerating an application from its seed reproduces the exact
-// operation stream, which is how the two-phase training framework replays
+// operation stream, which is how the two-phase training framework can replay
 // Phase-I winners under instrumentation in Phase-II without storing any
 // traces (Algorithm 1/2).
 package appgen
@@ -204,10 +204,20 @@ func skewedVal(rng *rand.Rand, max uint64, skew float64) uint64 {
 // same behaviour (Section 4.2's "exactly same behaviour, only a different
 // data structure").
 func Replay(app *App, cfg Config, ctr adt.Container) {
+	replay(app, cfg, ctr, nil)
+}
+
+// replay is Replay's loop. When stop is non-nil it is asked after every
+// prepopulation insert and every interface call whether to give up; replay
+// returns false if it did, and true once the stream has run to its end.
+func replay(app *App, cfg Config, ctr adt.Container, stop func() bool) bool {
 	rng := rand.New(rand.NewSource(app.Seed + 1)) // dispatch stream
 
 	for i := 0; i < app.Prepopulate; i++ {
 		ctr.Insert(skewedVal(rng, cfg.MaxInsertVal, 0))
+		if stop != nil && stop() {
+			return false
+		}
 	}
 
 	// Build the cumulative weight table once.
@@ -248,18 +258,31 @@ func Replay(app *App, cfg Config, ctr adt.Container) {
 			}
 			ctr.Iterate(n)
 		}
+		if stop != nil && stop() {
+			return false
+		}
 	}
+	return true
 }
 
 // Run instantiates the application with the given container kind on mach
 // and executes the function-dispatch loop under instrumentation, returning
 // the cycle count and the container's profile.
 func (app *App) Run(cfg Config, kind adt.Kind, mach *machine.Machine) Result {
+	res, _ := app.run(cfg, kind, mach, math.Inf(1))
+	return res
+}
+
+// run is Run under a bound: it abandons the replay between interface calls
+// once the cycles the profile has attributed pass bound, and reports
+// whether the replay ran to its end. An abandoned result holds the partial
+// run's profile.
+func (app *App) run(cfg Config, kind adt.Kind, mach *machine.Machine, bound float64) (Result, bool) {
 	ctr := profile.NewContainer(kind, mach, app.ElemSize,
 		fmt.Sprintf("appgen/seed=%d", app.Seed), app.Target.OrderAware)
-	Replay(app, cfg, ctr)
+	complete := replay(app, cfg, ctr, func() bool { return ctr.Cycles() > bound })
 	p := ctr.Snapshot()
-	return Result{Kind: kind, Cycles: p.Cycles, Profile: p}
+	return Result{Kind: kind, Cycles: p.Cycles, Profile: p}, complete
 }
 
 // RunFresh instantiates the application with the given container kind on a
@@ -268,11 +291,17 @@ func (app *App) Run(cfg Config, kind adt.Kind, mach *machine.Machine) Result {
 // so a worker that runs many applications reuses one machine instead of
 // allocating the simulated caches for every run.
 func (app *App) RunFresh(cfg Config, kind adt.Kind, arch machine.Config) Result {
+	res, _ := app.runFresh(cfg, kind, arch, math.Inf(1))
+	return res
+}
+
+// runFresh is RunFresh under run's bound.
+func (app *App) runFresh(cfg Config, kind adt.Kind, arch machine.Config, bound float64) (Result, bool) {
 	pool := machinePool(arch)
 	m := pool.Get().(*machine.Machine)
 	defer pool.Put(m)
 	m.Reset()
-	return app.Run(cfg, kind, m)
+	return app.run(cfg, kind, m, bound)
 }
 
 // RunAll instantiates the application with every candidate kind (the
@@ -285,6 +314,38 @@ func (app *App) RunAll(cfg Config, arch machine.Config) []Result {
 		out = append(out, app.RunFresh(cfg, k, arch))
 	}
 	return out
+}
+
+// Label decides what Best(app.RunAll(cfg, arch), margin) decides while
+// simulating only what that decision reads. The original kind runs to its
+// end; every other candidate, in RunAll's order, runs under a bound of
+// best-so-far × (1+margin) and is abandoned once its attributed cycles
+// pass it. Attributed cycles only grow and the bound only falls, so an
+// abandoned candidate ends above the final winner's bound: it could
+// neither have won nor have made the label indecisive. Best then picks
+// from the candidates that ran to their end.
+//
+// The margin must not be negative, or the bound would fall below the
+// fastest run and could abandon the winner. orig is the original kind's
+// full result, the instrumented run Phase II and validation read. hw sums
+// the counters of everything simulated, abandoned runs included.
+func (app *App) Label(cfg Config, arch machine.Config, margin float64) (best adt.Kind, decisive bool, orig Result, hw machine.Counters) {
+	kinds := adt.CandidatesWithOriginal(app.Target.Kind, app.Target.OrderAware)
+	orig = app.RunFresh(cfg, kinds[0], arch)
+	hw = orig.Profile.HW
+	ran := []Result{orig}
+	fastest := orig.Cycles
+	for _, k := range kinds[1:] {
+		res, complete := app.runFresh(cfg, k, arch, fastest*(1+margin))
+		hw = hw.Add(res.Profile.HW)
+		if !complete {
+			continue
+		}
+		ran = append(ran, res)
+		fastest = min(fastest, res.Cycles)
+	}
+	i, decisive := Best(ran, margin)
+	return ran[i].Kind, decisive, orig, hw
 }
 
 // machinePools holds the idle machines of each configuration RunFresh has

@@ -2,6 +2,7 @@ package appgen
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -305,4 +306,76 @@ func TestRunAllConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestLabelMatchesBestOfRunAll locks the labeller to the brute-force rule
+// it replaces: for every target on both machines, at margins 0 and 0.05,
+// at the training benchmark's budget and at a larger one, Label picks the
+// winner and decisive flag Best(RunAll) picks, and its original-kind result
+// is RunAll's first. It also checks that the bound fires: some labels must
+// simulate fewer events than the full sweep, and none more.
+func TestLabelMatchesBestOfRunAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the brute-force sweep over every target is slow")
+	}
+	trainBudget := DefaultConfig()
+	trainBudget.TotalInterfCalls = 100
+	trainBudget.MaxPrepopulate = 400
+	trainBudget.MaxIterCount = 400
+	larger := DefaultConfig()
+	larger.TotalInterfCalls = 400
+	larger.MaxPrepopulate = 1600
+	larger.MaxIterCount = 1600
+	budgets := []struct {
+		cfg   Config
+		seeds int64
+	}{{trainBudget, 12}, {larger, 4}}
+
+	var labels, abandoned, indecisive int
+	for _, b := range budgets {
+		for _, arch := range []machine.Config{machine.Core2(), machine.Atom()} {
+			for _, tgt := range adt.Targets() {
+				for seed := int64(1); seed <= b.seeds; seed++ {
+					app := Generate(b.cfg, tgt, seed)
+					all := app.RunAll(b.cfg, arch)
+					var full uint64
+					for _, r := range all {
+						full += r.Profile.HW.Events()
+					}
+					for _, margin := range []float64{0, 0.05} {
+						i, wantDecisive := Best(all, margin)
+						best, decisive, orig, hw := app.Label(b.cfg, arch, margin)
+						where := func() string {
+							return fmt.Sprintf("%s %v/aware=%v calls=%d seed %d margin %v",
+								arch.Name, tgt.Kind, tgt.OrderAware, b.cfg.TotalInterfCalls, seed, margin)
+						}
+						if best != all[i].Kind || decisive != wantDecisive {
+							t.Fatalf("%s: Label gives (%v, %v), Best(RunAll) (%v, %v)",
+								where(), best, decisive, all[i].Kind, wantDecisive)
+						}
+						if !reflect.DeepEqual(orig, all[0]) {
+							t.Fatalf("%s: Label's original-kind result differs from RunAll's", where())
+						}
+						switch got := hw.Events(); {
+						case got > full:
+							t.Fatalf("%s: Label simulated %d events, the full sweep %d", where(), got, full)
+						case got < full:
+							abandoned++
+						}
+						if !decisive {
+							indecisive++
+						}
+						labels++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d labels, %d with an abandoned candidate, %d indecisive", labels, abandoned, indecisive)
+	if abandoned == 0 || abandoned == labels {
+		t.Fatalf("%d of %d labels abandoned a candidate; the bound is not exercised both ways", abandoned, labels)
+	}
+	if indecisive == 0 {
+		t.Fatal("no indecisive label; the margin rule is not exercised")
+	}
 }

@@ -221,6 +221,10 @@ func (c *Container) Stats() *opstats.Stats { return c.inner.Stats() }
 // Context returns the construction-site label.
 func (c *Container) Context() string { return c.context }
 
+// Cycles returns the simulated cycles attributed to the container so far,
+// the figure Snapshot reports as Profile.Cycles, without copying the stats.
+func (c *Container) Cycles() float64 { return c.hw.Cycles }
+
 // Snapshot produces the profile of every interface invocation so far.
 func (c *Container) Snapshot() Profile {
 	return Profile{

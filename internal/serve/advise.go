@@ -57,7 +57,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		if len(profiles) >= s.cfg.MaxProfiles {
 			return errTooManyProfiles
 		}
-		vec, err := checkFinite("profile", len(profiles), p)
+		vec, err := checkMeasured("profile", len(profiles), p)
 		if err != nil {
 			return err
 		}
@@ -207,13 +207,17 @@ func (s *Server) analyze(ctx context.Context, profiles []profile.Profile, vecs [
 	return rep, nil
 }
 
-// checkFinite builds record n's feature vector and refuses the record when
-// the vector holds a NaN or an infinity (a negative "cycles" makes
-// cycles_per_call the log of a negative number). Such a vector would reach
-// the inference cache, the flight ring, the rollup means and a timeline,
-// and no reply could carry its confidence. Callers keep the vector it
-// returns, so each record's vector is built once.
-func checkFinite(what string, n int, p *profile.Profile) ([]float64, error) {
+// checkMeasured builds record n's feature vector and refuses the record
+// when its "cycles" is negative or a feature is not finite. A negative
+// cycles makes cycles_per_call (log1p of cycles per call) NaN only below
+// minus the call count, so it is refused on its own. Such a record would
+// reach the inference cache, the flight ring, the rollup means and a
+// timeline. Callers keep the vector it returns, so each record's vector is
+// built once.
+func checkMeasured(what string, n int, p *profile.Profile) ([]float64, error) {
+	if p.Cycles < 0 {
+		return nil, fmt.Errorf("%s %d (context %q): cycles %v is negative", what, n, p.Context, p.Cycles)
+	}
 	vec := p.Vector()
 	for i, f := range vec {
 		if math.IsNaN(f) || math.IsInf(f, 0) {

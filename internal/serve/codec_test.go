@@ -64,11 +64,45 @@ func TestNonFiniteFeaturesRejected(t *testing.T) {
 	}
 }
 
+// TestSmallNegativeCyclesRejected: a negative "cycles" smaller in size
+// than the record's call count leaves every feature finite, and is still
+// refused with 400 on both intake paths, before anything is counted.
+func TestSmallNegativeCyclesRejected(t *testing.T) {
+	s := rulesServer(Config{})
+	url, _ := startServer(t, s)
+
+	p := vectorProfile("negative/site", 40)
+	p.Cycles = -5
+	for i, f := range p.Vector() {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			t.Fatalf("feature %s is %v; the case needs a finite vector", profile.FeatureNames[i], f)
+		}
+	}
+	if resp, _ := postAdvise(t, url, traceBody(t, []profile.Profile{p}), "Core2"); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("advise with cycles -5: status %d, want 400", resp.StatusCode)
+	}
+	var windows bytes.Buffer
+	if err := profile.WriteWindows(&windows, []profile.WindowRecord{{Profile: p, EndOp: 10}}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ := postProfiles(t, url, windows.Bytes()); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("ingest with cycles -5: status %d, want 400", resp.StatusCode)
+	}
+	var roll RollupResponse
+	getJSON(t, url+"/v1/rollup", &roll)
+	if roll.AdviseDecisions != 0 || roll.Windows != 0 {
+		t.Fatalf("rollup counts the refused records: %+v", roll)
+	}
+	if n := s.Metrics().ProfileWindows.Value(); n != 0 {
+		t.Fatalf("window counter %d, want 0", n)
+	}
+}
+
 // TestRefusedBatchAppliesNothing: a batch is checked whole before any of
 // it is applied, so a batch refused after a good window — with 400 for a
-// non-finite window, or 413 for a body cut past the byte cap — leaves no
-// timeline, instance gauge, window count or rollup row behind, and a
-// client can retry it without ingesting that window twice.
+// non-finite or negative-cycles window, or 413 for a body cut past the
+// byte cap — leaves no timeline, instance gauge, window count or rollup row
+// behind, and a client can retry it without ingesting that window twice.
 func TestRefusedBatchAppliesNothing(t *testing.T) {
 	good := profile.WindowRecord{Profile: vectorProfile("refused/site", 40), EndOp: 10}
 	var first bytes.Buffer
@@ -79,6 +113,8 @@ func TestRefusedBatchAppliesNothing(t *testing.T) {
 	next.Seq, next.StartOp, next.EndOp = 1, 10, 20
 	bad := next
 	bad.Cycles = -1000000
+	negative := next
+	negative.Cycles = -5
 	for _, tc := range []struct {
 		name    string
 		maxBody int64
@@ -86,6 +122,7 @@ func TestRefusedBatchAppliesNothing(t *testing.T) {
 		status  int
 	}{
 		{"non-finite window", 0, bad, http.StatusBadRequest},
+		{"small negative cycles", 0, negative, http.StatusBadRequest},
 		{"body past the cap", int64(first.Len()) + 16, next, http.StatusRequestEntityTooLarge},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -57,7 +57,7 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		if len(recs) >= s.cfg.MaxProfiles {
 			return errTooManyWindows
 		}
-		vec, err := checkFinite("window", len(recs), &rec.Profile)
+		vec, err := checkMeasured("window", len(recs), &rec.Profile)
 		if err != nil {
 			return err
 		}

@@ -76,9 +76,8 @@ func TestFlatLabelsReachableMissHeavy(t *testing.T) {
 		found := int64(-1)
 		for seed := int64(1); seed <= maxSeeds && found < 0; seed++ {
 			app := appgen.Generate(tc.cfg, tc.tgt, seed)
-			results := app.RunAll(tc.cfg, arch)
-			best, decisive := appgen.Best(results, 0.05)
-			if decisive && results[best].Kind == tc.want {
+			best, decisive, _, _ := app.Label(tc.cfg, arch, 0.05)
+			if decisive && best == tc.want {
 				found = seed
 			}
 		}

@@ -95,9 +95,10 @@ func countEvents(hw machine.Counters) {
 }
 
 // phase1 is the streaming core of Algorithm 1 for one target on a shared
-// pool. It returns the labels, the number of seeds actually simulated, the
-// aggregated simulator counters, and the context's error if the run was
-// cancelled.
+// pool. It returns the labels, each label's instrumented run of the
+// original kind (the profile Phase II reads), the number of seeds actually
+// simulated, the aggregated simulator counters, and the context's error if
+// the run was cancelled.
 //
 // Determinism: seeds are dispatched in ascending order and folded into the
 // label list only when they become part of the contiguous completed
@@ -105,7 +106,7 @@ func countEvents(hw machine.Counters) {
 // in [SeedBase, SeedBase+MaxSeeds), in seed order" — the same set the
 // batch-synchronous implementation produced. Early stopping only affects
 // how many seeds past the saturation point are simulated.
-func phase1(ctx context.Context, target adt.ModelTarget, opt Options, p *pool) ([]SeedLabel, int, machine.Counters, error) {
+func phase1(ctx context.Context, target adt.ModelTarget, opt Options, p *pool) ([]SeedLabel, []profile.Profile, int, machine.Counters, error) {
 	ctx, span := telemetry.StartSpan(ctx, "phase1")
 	defer span.End()
 	type outcome struct {
@@ -113,6 +114,7 @@ func phase1(ctx context.Context, target adt.ModelTarget, opt Options, p *pool) (
 		best     adt.Kind
 		decisive bool
 		ran      bool
+		orig     profile.Profile
 		hw       machine.Counters
 	}
 	resCh := make(chan outcome, 64)
@@ -138,14 +140,12 @@ func phase1(ctx context.Context, target adt.ModelTarget, opt Options, p *pool) (
 					case <-stop:
 					default:
 						app := appgen.Generate(opt.AppCfg, target, seed)
-						results := app.RunAll(opt.AppCfg, opt.Arch)
-						best, decisive := appgen.Best(results, opt.Margin)
-						o.best = results[best].Kind
-						o.decisive = decisive
-						o.ran = true
-						for _, r := range results {
-							o.hw = o.hw.Add(r.Profile.HW)
+						var orig appgen.Result
+						o.best, o.decisive, orig, o.hw = app.Label(opt.AppCfg, opt.Arch, opt.Margin)
+						if o.decisive {
+							o.orig = orig.Profile
 						}
+						o.ran = true
 					}
 				}
 				resCh <- o
@@ -163,6 +163,7 @@ func phase1(ctx context.Context, target adt.ModelTarget, opt Options, p *pool) (
 
 	var (
 		labels   []SeedLabel
+		origs    []profile.Profile
 		hw       machine.Counters
 		pending  = map[int]outcome{}
 		next     int
@@ -190,6 +191,7 @@ func phase1(ctx context.Context, target adt.ModelTarget, opt Options, p *pool) (
 				delete(pending, next)
 				if q.ran && q.decisive && len(labels) < opt.PerTargetApps {
 					labels = append(labels, SeedLabel{Seed: opt.SeedBase + int64(next), Best: q.best})
+					origs = append(origs, q.orig)
 					Metrics.LabelsFound.Inc()
 					if len(labels) == opt.PerTargetApps {
 						halt() // saturated: stop dispatching, drain in-flight
@@ -209,14 +211,19 @@ func phase1(ctx context.Context, target adt.ModelTarget, opt Options, p *pool) (
 	span.SetInt("labels", int64(len(labels)))
 	setCounterAttrs(span, hw)
 	if err := ctx.Err(); err != nil {
-		return nil, scanned, hw, err
+		return nil, nil, scanned, hw, err
 	}
-	return labels, scanned, hw, nil
+	return labels, origs, scanned, hw, nil
 }
 
-// phase2 is the shared-pool core of Algorithm 2. Alongside the dataset it
-// returns the aggregated simulator counters of the instrumented replays.
-func phase2(ctx context.Context, target adt.ModelTarget, labels []SeedLabel, opt Options, p *pool) (Dataset, machine.Counters, error) {
+// phase2 is the shared-pool core of Algorithm 2. origs, when non-nil, holds
+// each label's instrumented run of the original kind from Phase I, and
+// nothing is simulated; labels without them (restored from a checkpoint, or
+// passed to Phase2) are replayed here. A reset machine behaves as a new
+// one, so both give the same profiles. Alongside the dataset it returns the
+// aggregated simulator counters of what it simulated; its span carries
+// those of every profile it assembled.
+func phase2(ctx context.Context, target adt.ModelTarget, labels []SeedLabel, origs []profile.Profile, opt Options, p *pool) (Dataset, machine.Counters, error) {
 	ctx, span := telemetry.StartSpan(ctx, "phase2")
 	defer span.End()
 	ds := Dataset{
@@ -232,6 +239,10 @@ func phase2(ctx context.Context, target adt.ModelTarget, labels []SeedLabel, opt
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		i := i
+		if origs != nil {
+			results[i] = pair{prof: origs[i], label: ds.CandidateIndex(labels[i].Best)}
+			continue
+		}
 		wg.Add(1)
 		err := p.submit(ctx, func() {
 			defer wg.Done()
@@ -250,15 +261,18 @@ func phase2(ctx context.Context, target adt.ModelTarget, labels []SeedLabel, opt
 		}
 	}
 	wg.Wait()
-	var hw machine.Counters
+	var hw, simulated machine.Counters
 	for i := range results {
 		hw = hw.Add(results[i].prof.HW)
 	}
-	countEvents(hw)
+	if origs == nil {
+		simulated = hw
+	}
+	countEvents(simulated)
 	span.SetInt("labels", int64(n))
 	setCounterAttrs(span, hw)
 	if err := ctx.Err(); err != nil {
-		return Dataset{}, hw, err
+		return Dataset{}, simulated, err
 	}
 	for _, r := range results {
 		if r.label < 0 {
@@ -277,9 +291,9 @@ func phase2(ctx context.Context, target adt.ModelTarget, labels []SeedLabel, opt
 	span.SetInt("dropped", int64(ds.Dropped))
 	Metrics.Phase2Examples.Add(uint64(len(ds.Examples)))
 	if n > 0 && ds.Dropped == n {
-		return Dataset{}, hw, fmt.Errorf("training: phase2 for %v dropped all %d examples (winners outside the candidate space)", target.Kind, n)
+		return Dataset{}, simulated, fmt.Errorf("training: phase2 for %v dropped all %d examples (winners outside the candidate space)", target.Kind, n)
 	}
-	return ds, hw, nil
+	return ds, simulated, nil
 }
 
 // validate is the shared-pool core of the Figure 9 protocol: n fresh
@@ -305,16 +319,11 @@ func validate(ctx context.Context, m *Model, opt Options, n int, seedBase int64,
 				return
 			}
 			app := appgen.Generate(opt.AppCfg, m.Target, seed)
-			// Inline Oracle so the candidate sweep's counters are kept.
-			results := app.RunAll(opt.AppCfg, opt.Arch)
-			best, _ := appgen.Best(results, 0)
-			oracle := results[best].Kind
-			for _, r := range results {
-				hws[i] = hws[i].Add(r.Profile.HW)
-			}
-			run := app.RunFresh(opt.AppCfg, m.Target.Kind, opt.Arch)
-			hws[i] = hws[i].Add(run.Profile.HW)
-			if m.Predict(&run.Profile) == oracle {
+			// Inline Oracle so the labelling run's counters and its
+			// profile of the original kind are kept.
+			oracle, _, orig, hw := app.Label(opt.AppCfg, opt.Arch, 0)
+			hws[i] = hw
+			if m.Predict(&orig.Profile) == oracle {
 				correct.Add(1)
 			}
 		})
@@ -503,6 +512,7 @@ func trainTarget(ctx context.Context, tgt adt.ModelTarget, opt Options, annCfg a
 
 	var (
 		labels     []SeedLabel
+		origs      []profile.Profile // nil when the labels come from a checkpoint
 		haveLabels bool
 		err        error
 	)
@@ -516,7 +526,7 @@ func trainTarget(ctx context.Context, tgt adt.ModelTarget, opt Options, annCfg a
 	if !haveLabels {
 		t0 := time.Now()
 		var hw machine.Counters
-		labels, res.SeedsScanned, hw, err = phase1(ctx, tgt, opt, p)
+		labels, origs, res.SeedsScanned, hw, err = phase1(ctx, tgt, opt, p)
 		res.Stages.Phase1 = time.Since(t0)
 		res.HW = res.HW.Add(hw)
 		if err != nil {
@@ -548,7 +558,7 @@ func trainTarget(ctx context.Context, tgt adt.ModelTarget, opt Options, annCfg a
 	if !haveDS {
 		t0 := time.Now()
 		var hw machine.Counters
-		ds, hw, err = phase2(ctx, tgt, labels, opt, p)
+		ds, hw, err = phase2(ctx, tgt, labels, origs, opt, p)
 		res.Stages.Phase2 = time.Since(t0)
 		res.HW = res.HW.Add(hw)
 		if err != nil {

@@ -3,6 +3,8 @@ package training
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/adt"
@@ -88,7 +90,7 @@ func TestPhase1StopsDispatchingAtSaturation(t *testing.T) {
 	opt.MaxSeeds = 4000
 	p := newPool(opt.Workers)
 	defer p.close()
-	labels, scanned, _, err := phase1(context.Background(), tgt, opt, p)
+	labels, _, scanned, _, err := phase1(context.Background(), tgt, opt, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,5 +348,78 @@ func TestTrainArchsRejectsMetaDrift(t *testing.T) {
 	if _, err := TrainArchs(context.Background(), []Options{opt}, annCfg, targets,
 		PipelineConfig{Workers: opt.Workers, Checkpoint: cp}); err == nil {
 		t.Fatal("option drift accepted against an existing checkpoint")
+	}
+}
+
+// TestPhase2ReusesPhase1Profiles: the dataset the pipeline assembles from
+// Phase I's original-kind runs, simulating nothing, deep-equals the one the
+// exported Phase2 builds by replaying the same labels on reset machines.
+func TestPhase2ReusesPhase1Profiles(t *testing.T) {
+	ctx := context.Background()
+	for _, arch := range []machine.Config{machine.Core2(), machine.Atom()} {
+		opt := quickOptions()
+		opt.Arch = arch
+		p := newPool(opt.Workers)
+		for _, tgt := range trainTargets() {
+			labels, origs, _, _, err := phase1(ctx, tgt, opt, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(labels) == 0 || len(origs) != len(labels) {
+				t.Fatalf("%s %v: %d labels, %d profiles", arch.Name, tgt.Kind, len(labels), len(origs))
+			}
+			got, simulated, err := phase2(ctx, tgt, labels, origs, opt, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !simulated.IsZero() {
+				t.Fatalf("%s %v: phase2 simulated %d events with every profile at hand", arch.Name, tgt.Kind, simulated.Events())
+			}
+			want, err := Phase2(ctx, tgt, labels, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %v: dataset from Phase I's profiles differs from Phase2's replay", arch.Name, tgt.Kind)
+			}
+		}
+		p.close()
+	}
+}
+
+// TestTrainArchsDeterministicAcrossWorkersAndProcs is the determinism
+// matrix's training row: the registry is byte-identical for every worker
+// count and GOMAXPROCS. Phase I's seed jobs differ widely in cost, since a
+// label abandons candidates once they cannot win, so its scheduling (and
+// how far it scans past saturation) varies from run to run; none of that
+// may reach the output. The test sets GOMAXPROCS, so it must not run in
+// parallel with others.
+func TestTrainArchsDeterministicAcrossWorkersAndProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	targets := []adt.ModelTarget{
+		{Kind: adt.KindVector, OrderAware: true},
+		{Kind: adt.KindList, OrderAware: false},
+		{Kind: adt.KindSet, OrderAware: true},
+		{Kind: adt.KindMap, OrderAware: false},
+	}
+	var want []byte
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 4} {
+			opt := quickOptions()
+			opt.Workers = workers
+			set, err := TrainArchs(context.Background(), []Options{opt}, quickANN(), targets, PipelineConfig{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := registryBytes(t, set)
+			if want == nil {
+				want = got
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("GOMAXPROCS %d, %d workers: registry differs from GOMAXPROCS 1, 1 worker", procs, workers)
+			}
+		}
 	}
 }

@@ -1,12 +1,14 @@
 // Package training implements the two-phase training framework of
 // Section 4.3. Phase-I (Algorithm 1) generates seeded synthetic
-// applications, runs every interchangeable candidate on the target machine
-// and records (seed, best data structure) pairs — keeping a label only when
+// applications, runs the interchangeable candidates on the target machine
+// (abandoning each once it can no longer win, appgen's App.Label) and
+// records (seed, best data structure) pairs — keeping a label only when
 // the winner beats every alternative by the 5% margin. Phase-II
-// (Algorithm 2) replays each recorded seed with the *original* container
-// under instrumentation, collects the software and hardware features, and
-// labels the feature vector with the Phase-I winner. One ANN is trained per
-// (original container, microarchitecture).
+// (Algorithm 2) takes each recorded seed's instrumented run of the
+// *original* container, collects the software and hardware features, and
+// labels the feature vector with the Phase-I winner; the pipeline reuses
+// Phase-I's run, and the exported Phase2 replays the seed. One ANN is
+// trained per (original container, microarchitecture).
 //
 // All entry points take a context and run as a streaming pipeline on a
 // persistent worker pool; see pipeline.go. TrainArchs additionally supports
@@ -74,7 +76,7 @@ type SeedLabel struct {
 func Phase1(ctx context.Context, target adt.ModelTarget, opt Options) ([]SeedLabel, error) {
 	p := newPool(opt.workers())
 	defer p.close()
-	labels, _, _, err := phase1(ctx, target, opt, p)
+	labels, _, _, _, err := phase1(ctx, target, opt, p)
 	return labels, err
 }
 
@@ -106,7 +108,7 @@ func (d *Dataset) CandidateIndex(kind adt.Kind) int {
 func Phase2(ctx context.Context, target adt.ModelTarget, labels []SeedLabel, opt Options) (Dataset, error) {
 	p := newPool(opt.workers())
 	defer p.close()
-	ds, _, err := phase2(ctx, target, labels, opt, p)
+	ds, _, err := phase2(ctx, target, labels, nil, opt, p)
 	return ds, err
 }
 
@@ -165,13 +167,14 @@ func (s *ModelSet) Get(kind adt.Kind, orderAware bool, arch string) (*Model, boo
 // Len returns the number of registered models.
 func (s *ModelSet) Len() int { return len(s.models) }
 
-// Oracle runs every candidate of the app, each on a reset machine that
-// behaves as a fresh one (appgen.RunAll), and returns the empirically
-// fastest kind — the paper's Oracle scheme.
+// Oracle runs the candidates of the app, each on a reset machine that
+// behaves as a fresh one, and returns the empirically fastest kind — the
+// paper's Oracle scheme. It labels through appgen's App.Label, which
+// abandons a candidate once it can no longer be the fastest, and picks the
+// kind Best(RunAll(...), 0) picks.
 func Oracle(app *appgen.App, cfg appgen.Config, arch machine.Config) adt.Kind {
-	results := app.RunAll(cfg, arch)
-	best, _ := appgen.Best(results, 0)
-	return results[best].Kind
+	best, _, _, _ := app.Label(cfg, arch, 0)
+	return best
 }
 
 // Validate implements the Figure 9 protocol: generate n fresh applications
